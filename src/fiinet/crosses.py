@@ -2,21 +2,21 @@
 
 All order-2 and order-3 field combinations are enumerated once, in
 lexicographic order, into a fixed channel layout: pair channels first,
-triple channels after.  Each cross is materialized as the plain Hadamard
-product of the participating field embeddings; the per-channel attention
-weights and the downstream network absorb any per-cross scaling.
+triple channels after.  Each cross is the plain Hadamard product of the
+participating field embeddings, (e_i * e_j) * e_k for a triple; the
+per-channel attention weights and the downstream network absorb any
+per-cross scaling.
 
-Both branch tensors live on the shared C-channel axis with zero-filled
-foreign slots, so the elementwise branch fusion degenerates to a
-concatenation of the live channels.
+Each branch holds only its own live channels: the pair branch is
+(B,C2,k) and the triple branch (B,C3,k).  The attention layer's fuse step
+joins them along the channel axis into the (B,C,k) layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-
-import numpy as np
 
 from . import engine as eg
 from .errors import ShapeError
@@ -68,6 +68,14 @@ class ChannelLayout:
     def num_channels(self) -> int:
         return len(self.pairs) + len(self.triples)
 
+    @cached_property
+    def pair_index(self) -> eg.CrossIndex:
+        return eg.CrossIndex(self.pairs)
+
+    @cached_property
+    def triple_index(self) -> eg.CrossIndex:
+        return eg.CrossIndex(self.triples)
+
     def channel_fields(self, channel: int) -> tuple[int, ...]:
         if channel < len(self.pairs):
             return self.pairs[channel]
@@ -88,34 +96,23 @@ def _validate_embeddings(embeddings: eg.Tensor, layout: ChannelLayout) -> None:
 def build_branch_2(embeddings: eg.Tensor, layout: ChannelLayout) -> eg.Tensor:
     """Second-order branch: pair channel (i,j) holds e_i * e_j elementwise.
 
-    Returns (B,C,k) on the full layout with triple channels all-zero.
+    Returns the (B,C2,k) pair channels, in layout order.
     """
     _validate_embeddings(embeddings, layout)
     if not layout.pairs:
         raise ShapeError("layout carries no pair channels")
-    i_idx = np.fromiter((p[0] for p in layout.pairs), dtype=np.intp)
-    j_idx = np.fromiter((p[1] for p in layout.pairs), dtype=np.intp)
-    live = eg.mul(eg.take_fields(embeddings, i_idx), eg.take_fields(embeddings, j_idx))
-    return eg.pad_channels(live, layout.num_channels, 0)
+    return eg.cross_products(embeddings, layout.pair_index)
 
 
 def build_branch_3(embeddings: eg.Tensor, layout: ChannelLayout) -> eg.Tensor:
-    """Third-order branch: triple channel (i,j,k) holds e_i * e_j * e_k.
+    """Third-order branch: triple channel (i,j,k) holds (e_i * e_j) * e_k.
 
-    Returns (B,C,k) on the full layout with pair channels all-zero.
+    Returns the (B,C3,k) triple channels, in layout order.
     """
     _validate_embeddings(embeddings, layout)
     if not layout.triples:
         raise ShapeError("layout carries no triple channels")
-    i_idx = np.fromiter((t[0] for t in layout.triples), dtype=np.intp)
-    j_idx = np.fromiter((t[1] for t in layout.triples), dtype=np.intp)
-    k_idx = np.fromiter((t[2] for t in layout.triples), dtype=np.intp)
-    live = eg.hadamard(
-        eg.take_fields(embeddings, i_idx),
-        eg.take_fields(embeddings, j_idx),
-        eg.take_fields(embeddings, k_idx),
-    )
-    return eg.pad_channels(live, layout.num_channels, layout.num_pairs)
+    return eg.cross_products(embeddings, layout.triple_index)
 
 
 def write_layout(layout: ChannelLayout, field_names: list[str], path) -> None:

@@ -73,8 +73,12 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output.
 
-        Gradients accumulate (+=) into every reachable tensor with
-        requires_grad set, so parameter grads must be zeroed per minibatch.
+        Leaf tensors with requires_grad set accumulate (+=) into the gradient
+        arrays they own, so parameter grads must be zeroed per minibatch; a
+        leaf with no gradient yet gets a copy of the first one to arrive.
+        An interior node stores the first gradient to reach it as it is,
+        which may be a view shared with other nodes, and adds later ones out
+        of place, so no gradient array an op returned is ever written.
         """
         if self.data.size != 1:
             raise ShapeError(
@@ -97,19 +101,21 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + np.ones_like(self.data)
+        self.grad = np.ones_like(self.data) if self.grad is None else self.grad + 1
         for node in reversed(topo):
             if node._backward is None or node.grad is None:
                 continue
             parent_grads = node._backward(node.grad)
             for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not (parent.requires_grad or parent._backward):
+                if pg is None:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += pg
+                if parent._backward is not None:
+                    parent.grad = pg if parent.grad is None else parent.grad + pg
+                elif parent.requires_grad:
+                    if parent.grad is None:
+                        parent.grad = np.array(pg, dtype=parent.data.dtype)
+                    else:
+                        parent.grad += pg
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -346,6 +352,131 @@ def pad_channels(x: Tensor, total: int, offset: int) -> Tensor:
     return _make(out, (x,), lambda g: (g[:, offset : offset + m, :],), "pad_channels")
 
 
+class CrossIndex:
+    """A cross index table, checked and prepared once for ``cross_products``.
+
+    The (C,r) table lists the fields of each channel.  Rows must be strictly
+    increasing and in strictly increasing lexicographic order, as
+    itertools.combinations yields them.  ``columns`` holds the table's r
+    columns.  Rows that share all fields but the last form a run; ``runs``
+    holds (start, stop, shared fields, last fields as a slice when they are
+    consecutive, else as an index array).
+    """
+
+    def __init__(self, index_table):
+        table = np.asarray(index_table, dtype=np.intp)
+        if table.ndim != 2 or table.shape[0] == 0 or table.shape[1] < 2:
+            raise ShapeError(
+                f"a cross index table is (C,r) with C >= 1 and r >= 2, got shape {table.shape}"
+            )
+        if table.min() < 0:
+            raise ShapeError("cross index table holds a negative field index")
+        step = table[1:] - table[:-1]
+        first = (step != 0).argmax(axis=1)
+        if (np.diff(table, axis=1) <= 0).any() or (step[np.arange(len(step)), first] <= 0).any():
+            raise ShapeError(
+                "cross index rows must be strictly increasing, in lexicographic order"
+            )
+        self.num_channels = table.shape[0]
+        self.max_field = int(table.max())
+        self.columns = [np.ascontiguousarray(col) for col in table.T]
+        head = table[:, :-1]
+        new = np.ones(len(table), dtype=bool)
+        new[1:] = (head[1:] != head[:-1]).any(axis=1)
+        starts = np.flatnonzero(new).tolist()
+        self.runs: list[tuple[int, int, list[int], slice | np.ndarray]] = []
+        for start, stop in zip(starts, starts[1:] + [len(table)]):
+            last = table[start:stop, -1]
+            if last[-1] - last[0] == stop - start - 1:
+                last = slice(int(last[0]), int(last[-1]) + 1)
+            self.runs.append((start, stop, head[start].tolist(), last))
+
+
+def cross_products(x: Tensor, index: CrossIndex) -> Tensor:
+    """Field crosses: (B,f,k) -> (B,C,k) for a C-channel ``CrossIndex``.
+
+    Channel c is the Hadamard product of the fields in row c, multiplied
+    left to right: (x_i * x_j) * x_k for a row (i,j,k).  Forward gathers
+    one column of fields at a time and multiplies it in place, so the
+    number of numpy calls does not grow with C.  Backward is analytic,
+    dx_m += g_c * (product of the other members), run by run on
+    channel-major copies: a run's shared product is made once and its last
+    fields are one contiguous block.
+    """
+    if x.data.ndim != 3:
+        raise ShapeError(f"cross_products expects (B,f,k), got {x.data.shape}")
+    if index.max_field >= x.data.shape[1]:
+        raise ShapeError(
+            f"cross_products: field index {index.max_field} out of range for "
+            f"{x.data.shape[1]} fields"
+        )
+    xd = x.data
+    out = np.take(xd, index.columns[0], axis=1)
+    for col in index.columns[1:]:
+        out *= np.take(xd, col, axis=1)
+
+    def backward(g):
+        # channel-major copies make every block below a contiguous slab
+        gt = np.ascontiguousarray(np.moveaxis(g, 1, 0))
+        xt = np.ascontiguousarray(np.moveaxis(xd, 1, 0))
+        dxt = np.zeros_like(xt)
+        for start, stop, head, last in index.runs:
+            p = xt[head[0]]
+            for m in head[1:]:
+                p = p * xt[m]
+            gc = gt[start:stop]
+            dxt[last] += gc * p
+            dp = np.einsum("nbk,nbk->bk", gc, xt[last])
+            for q, m in enumerate(head):
+                others = dp
+                for o, n in enumerate(head):
+                    if o != q:
+                        others = others * xt[n]
+                dxt[m] += others
+        return (np.moveaxis(dxt, 0, 1),)
+
+    return _make(out, (x,), backward, "cross_products")
+
+
+def concat_channels(tensors: list[Tensor]) -> Tensor:
+    """Join (B,C_i,...) tensors along the channel axis, in order."""
+    if not tensors:
+        raise ShapeError("concat_channels needs at least one tensor")
+    first = tensors[0].data
+    for t in tensors:
+        if (t.data.ndim < 2 or t.data.dtype != first.dtype or t.data.shape[0] != first.shape[0]
+                or t.data.shape[2:] != first.shape[2:]):
+            raise ShapeError(
+                "concat_channels: inputs must agree on dtype and all axes but the channel axis"
+            )
+    bounds = np.cumsum([0] + [t.data.shape[1] for t in tensors]).tolist()
+    out = np.concatenate([t.data for t in tensors], axis=1)
+
+    def backward(g):
+        return tuple(g[:, lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+
+    return _make(out, tuple(tensors), backward, "concat_channels")
+
+
+def join_columns(left: Tensor, right: Tensor, split: int) -> Tensor:
+    """Columns [:split] of left and [split:] of right, as one (B,C) tensor."""
+    _require_same_shape(left, right, "join_columns")
+    if left.data.ndim != 2 or not 0 <= split <= left.data.shape[1]:
+        raise ShapeError(
+            f"join_columns: split {split} does not fit shape {left.data.shape}"
+        )
+    out = np.concatenate([left.data[:, :split], right.data[:, split:]], axis=1)
+
+    def backward(g):
+        gl = np.zeros_like(g)
+        gl[:, :split] = g[:, :split]
+        gr = np.zeros_like(g)
+        gr[:, split:] = g[:, split:]
+        return gl, gr
+
+    return _make(out, (left, right), backward, "join_columns")
+
+
 def scale_channels(x: Tensor, w: Tensor) -> Tensor:
     """Multiply each channel vector of (B,C,k) by its (B,C) weight."""
     if x.data.ndim != 3 or w.data.ndim != 2 or x.data.shape[:2] != w.data.shape:
@@ -355,7 +486,7 @@ def scale_channels(x: Tensor, w: Tensor) -> Tensor:
     out = x.data * w.data[:, :, None]
 
     def backward(g):
-        return g * w.data[:, :, None], (g * x.data).sum(axis=2)
+        return g * w.data[:, :, None], np.einsum("bck,bck->bc", g, x.data)
 
     return _make(out, (x, w), backward, "scale_channels")
 

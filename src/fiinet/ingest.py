@@ -9,7 +9,9 @@ categorical fields, and writes seeded train/valid/test splits.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,31 +84,71 @@ class Vocabulary:
         )
 
     def save(self, path) -> None:
-        """One line per entry: field_name TAB raw_value TAB index."""
+        """One line per entry, in index order: field_name TAB value TAB index.
+
+        Backslash, tab, newline and carriage return in a value are written
+        as the escapes \\\\, \\t, \\n and \\r, so any string reads back.
+        """
         with open(path, "w", encoding="utf-8") as f:
             for schema, mapping in zip(self.schemas, self.maps):
-                for value, idx in mapping.items():
-                    f.write(f"{schema.field_name}\t{value}\t{idx}\n")
+                entries = sorted(mapping.items(), key=lambda kv: kv[1])
+                for expected, (value, idx) in enumerate(entries, 1):
+                    if idx != expected:
+                        raise DataError(
+                            f"field '{schema.field_name}': vocabulary indices are not "
+                            f"1..{len(entries)} (found {idx} where {expected} belongs)"
+                        )
+                    f.write(f"{schema.field_name}\t{value.translate(_ESCAPES)}\t{idx}\n")
 
     @classmethod
     def load(cls, path, field_names: list[str]) -> "Vocabulary":
+        """Read a file ``save`` wrote.  Each field's values must take the
+        indices 1, 2, 3, ... in file order, each value once."""
         maps: dict[str, dict[str, int]] = {name: {} for name in field_names}
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: malformed vocabulary line")
-                name, value, idx = parts
-                if name not in maps:
-                    raise DataError(f"{path}:{lineno}: unknown field '{name}'")
-                maps[name][value] = int(idx)
+                try:
+                    name, value, idx = line.rstrip("\n").split("\t")
+                except ValueError:
+                    if line == "\n":
+                        continue
+                    raise DataError(f"{path}:{lineno}: malformed vocabulary line") from None
+                if "\\" in value:
+                    value = _unescape(value, path, lineno)
+                try:
+                    m = maps[name]
+                    m[value] = index = int(idx)
+                except KeyError:
+                    raise DataError(f"{path}:{lineno}: unknown field '{name}'") from None
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: index {idx!r} is not an integer") from None
+                if index != len(m):
+                    raise DataError(
+                        f"{path}:{lineno}: field '{name}' value {value!r} has index {index}; "
+                        "each field's values must take the indices 1, 2, 3, ... in order, "
+                        "each value once"
+                    )
         schemas = [
             FieldSchema(name, i, len(maps[name]) + 1) for i, name in enumerate(field_names)
         ]
         return cls(schemas, [maps[name] for name in field_names])
+
+
+_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
+
+
+def _unescape(value: str, path, lineno: int) -> str:
+    def replace(m: re.Match) -> str:
+        try:
+            return _UNESCAPES[m.group(1)]
+        except KeyError:
+            raise DataError(
+                f"{path}:{lineno}: unknown escape {m.group(0)!r} in vocabulary value"
+            ) from None
+
+    return _ESCAPE_SEQUENCE.sub(replace, value)
 
 
 def build_vocabulary(rows: list[list[str]], field_names: list[str]) -> Vocabulary:
@@ -255,7 +297,7 @@ def write_split_file(path, dataset: EncodedDataset) -> None:
 
 
 def read_split_file(path, num_fields: int) -> EncodedDataset:
-    labels = []
+    """Read a file ``write_split_file`` wrote: labels in {0,1}, indices >= 0."""
     rows = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -264,11 +306,27 @@ def read_split_file(path, num_fields: int) -> EncodedDataset:
                 continue
             if len(parts) != num_fields + 1:
                 raise DataError(f"{path}:{lineno}: expected 1+{num_fields} integers")
-            labels.append(int(parts[0]))
-            rows.append([int(v) for v in parts[1:]])
+            try:
+                rows.append(list(map(int, parts)))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-integer token in {line.strip()!r}") from None
     if not rows:
         return EncodedDataset(np.zeros((0, num_fields), dtype=np.int64), np.zeros(0, dtype=np.int64))
-    return EncodedDataset(np.array(rows, dtype=np.int64), np.array(labels, dtype=np.int64))
+    table = np.array(rows, dtype=np.int64)
+    bad = (table[:, 0] > 1) | (table.min(axis=1) < 0)
+    if bad.any():
+        row = int(bad.argmax())
+        label = int(table[row, 0])
+        problem = f"label {label} is not 0 or 1" if label not in (0, 1) else "negative field index"
+        raise DataError(f"{path}:{_line_of_row(path, row)}: {problem}")
+    return EncodedDataset(table[:, 1:].copy(), table[:, 0].copy())
+
+
+def _line_of_row(path, row: int) -> int:
+    """1-based line number of the row-th (0-based) non-blank line."""
+    with open(path, encoding="utf-8") as f:
+        rows = (lineno for lineno, line in enumerate(f, 1) if line.split())
+        return next(itertools.islice(rows, row, None))
 
 
 def write_prepared(out_dir, vocab: Vocabulary, split: DatasetSplit) -> None:
@@ -307,7 +365,7 @@ def load_prepared(data_dir) -> tuple[Vocabulary, DatasetSplit]:
     for part in (split.train, split.valid, split.test):
         for s in vocab.schemas:
             col = part.indices[:, s.field_index]
-            if col.size and col.max() >= s.cardinality:
+            if col.size and (col.min() < 0 or col.max() >= s.cardinality):
                 raise DataError(
                     f"index out of range for field '{s.field_name}' in {data}"
                 )

@@ -18,10 +18,19 @@ import numpy as np
 from . import engine as eg
 from . import sk_attention as sk
 from .crosses import ChannelLayout, build_branch_2, build_branch_3
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .ingest import FieldSchema
 
 VARIANTS = ("fiinet", "fiinet-sh", "fiinet-s", "fiinet-h", "lr", "fm")
+# Deep variants: the cross orders they build, and whether SK attention
+# re-weights the cross channels before the DNN.
+DEEP_VARIANTS = {
+    "fiinet": ((2, 3), True),
+    "fiinet-sh": ((2, 3), False),
+    "fiinet-h": ((2,), False),
+    "fiinet-s": ((3,), False),
+}
+PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
 PROB_EPS = 1e-7
 
@@ -38,10 +47,22 @@ class ModelConfig:
     seed: int = 2023
     precision: str = "float32"
 
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant '{self.variant}' (choose from {VARIANTS})")
+        if self.pooling not in sk.POOLING_MODES:
+            raise ConfigError(
+                f"unknown pooling mode '{self.pooling}' (choose from {sk.POOLING_MODES})"
+            )
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
+        if self.precision not in PRECISIONS:
+            raise ConfigError(
+                f"unknown precision '{self.precision}' (choose from {tuple(PRECISIONS)})"
+            )
+
     def dtype(self):
-        if self.precision not in ("float32", "float64"):
-            raise ShapeError(f"unknown precision '{self.precision}'")
-        return np.float32 if self.precision == "float32" else np.float64
+        return PRECISIONS[self.precision]
 
 
 def bce_loss(probs: eg.Tensor, labels: np.ndarray) -> eg.Tensor:
@@ -62,8 +83,6 @@ class CtrModel:
     """A predictor variant bound to a field schema and a parameter store."""
 
     def __init__(self, schemas: list[FieldSchema], config: ModelConfig):
-        if config.variant not in VARIANTS:
-            raise ShapeError(f"unknown variant '{config.variant}' (choose from {VARIANTS})")
         if config.variant == "fiinet-s" and len(schemas) < 3:
             raise ShapeError("fiinet-s needs at least 3 fields for triple crosses")
         if config.variant != "lr" and len(schemas) < 2:
@@ -110,9 +129,9 @@ class CtrModel:
         if cfg.variant == "fm":
             return
 
-        orders = {"fiinet": (2, 3), "fiinet-sh": (2, 3), "fiinet-s": (3,), "fiinet-h": (2,)}
-        self.layout = ChannelLayout.build(self.num_fields, orders[cfg.variant])
-        if cfg.variant == "fiinet":
+        orders, attention = DEEP_VARIANTS[cfg.variant]
+        self.layout = ChannelLayout.build(self.num_fields, orders)
+        if attention:
             self.sk_params = sk.init_sk_params(
                 self.params, self.layout.num_channels, cfg.reduction_ratio,
                 cfg.min_reduced_dim, seed,
@@ -181,16 +200,24 @@ class CtrModel:
             eg.scale(eg.sum_lastdim(eg.sub(sq_of_sum, sum_of_sq)), 0.5), (batch, 1)
         )
 
+    def _cross_channels(self, emb: eg.Tensor) -> eg.Tensor:
+        """The (B,C,k) cross channels of the layout: pairs, then triples."""
+        if not self.layout.triples:
+            return build_branch_2(emb, self.layout)
+        if not self.layout.pairs:
+            return build_branch_3(emb, self.layout)
+        return sk.fuse(build_branch_2(emb, self.layout), build_branch_3(emb, self.layout))
+
     def attention_weights(self, emb: eg.Tensor):
-        """(a, b) tensors for the full attention variant."""
+        """(fused, a, b) for the full attention variant: the (B,C,k) cross
+        channels and the (B,C) select weights of each branch."""
         if self.sk_params is None:
             raise ShapeError(f"variant '{self.config.variant}' has no attention weights")
-        u2 = build_branch_2(emb, self.layout)
-        u3 = build_branch_3(emb, self.layout)
-        stats = sk.global_pool(sk.fuse_sum(u2, u3), self.config.pooling)
+        fused = self._cross_channels(emb)
+        stats = sk.global_pool(fused, self.config.pooling)
         descriptor = sk.reduce_descriptor(stats, self.sk_params.w1)
         a, b = sk.select_softmax(descriptor, self.sk_params.branch_a, self.sk_params.branch_b)
-        return u2, u3, a, b
+        return fused, a, b
 
     # -- public API ------------------------------------------------------
 
@@ -206,23 +233,18 @@ class CtrModel:
         batch = idx.shape[0]
         z = self._linear_logit(idx)
         attention = None
-        variant = self.config.variant
-        if variant == "fm":
-            z = eg.add(z, self._fm_score(self._embeddings(idx)))
-        elif variant != "lr":
+        if self.layout is not None:
             emb = self._embeddings(idx)
-            if variant == "fiinet":
-                u2, u3, a, b = self.attention_weights(emb)
-                v = sk.apply_select(u2, u3, a, b)
+            if self.sk_params is None:
+                v = self._cross_channels(emb)
+            else:
+                fused, a, b = self.attention_weights(emb)
+                v = sk.apply_select(fused, a, b, self.layout.num_pairs)
                 attention = (a, b)
-            elif variant == "fiinet-sh":
-                v = sk.fuse_sum(build_branch_2(emb, self.layout), build_branch_3(emb, self.layout))
-            elif variant == "fiinet-h":
-                v = build_branch_2(emb, self.layout)
-            else:  # fiinet-s
-                v = build_branch_3(emb, self.layout)
             flat = eg.reshape(v, (batch, self.layout.num_channels * self.config.embedding_dim))
             z = eg.add(z, self._dnn(flat, training, rng))
+        elif self.config.variant == "fm":
+            z = eg.add(z, self._fm_score(self._embeddings(idx)))
         probs = eg.sigmoid(eg.reshape(z, (batch,)))
         if return_attention:
             return probs, attention
@@ -253,7 +275,7 @@ class CtrModel:
         if idx.shape[0] == 0:
             raise DataError("empty sample for attention export")
         with eg.no_grad():
-            _, _, a, b = self.attention_weights(self._embeddings(idx))
+            _, a, b = self.attention_weights(self._embeddings(idx))
         return a.data.copy(), b.data.copy()
 
 

@@ -1,11 +1,13 @@
 """Selective-kernel attention over cross channels (the Fuse and Select stages).
 
-Fuse sums the two branch tensors (concatenation in effect, thanks to the
-zero slots), pools each fused channel to a global scalar, and squeezes the
-C-length statistic through a reduce/excite bottleneck.  Select scores every
-channel with two branch matrices and normalizes the pair of logits with a
-two-way softmax, yielding convex weights (a_c, b_c) per channel; the output
-map re-weights the branches channel by channel.
+Fuse joins the pair branch (B,C2,k) and the triple branch (B,C3,k) along
+the channel axis into the (B,C,k) cross channels, pools each channel to a
+global scalar, and squeezes the C-length statistic through a
+reduce/excite bottleneck.  Select scores every channel with two branch
+matrices and normalizes the pair of logits with a two-way softmax,
+yielding convex weights (a_c, b_c) per channel.  Each channel belongs to
+one branch, so the output map scales it by one weight: a_c on pair
+channels, b_c on triple channels.
 
 The two-way softmax is computed as a sigmoid of the logit difference, which
 is the max-subtraction form, and the second weight as 1 - a_c, so the pair
@@ -25,6 +27,7 @@ from .errors import DataError, ShapeError
 
 DEFAULT_REDUCTION_RATIO = 3
 DEFAULT_MIN_REDUCED_DIM = 8
+POOLING_MODES = ("mean", "max")
 
 
 def reduced_dim(num_channels: int, ratio: int, min_dim: int = DEFAULT_MIN_REDUCED_DIM) -> int:
@@ -64,14 +67,9 @@ def init_sk_params(
     return SkParams(w1=w1, branch_a=branch_a, branch_b=branch_b)
 
 
-def fuse_sum(branch2: eg.Tensor, branch3: eg.Tensor) -> eg.Tensor:
-    """Elementwise branch sum on the shared layout; equals concatenation of
-    the live channels because each branch is zero on the other's slots."""
-    if branch2.data.shape != branch3.data.shape:
-        raise ShapeError(
-            f"fuse_sum: branch layouts disagree {branch2.data.shape} vs {branch3.data.shape}"
-        )
-    return eg.add(branch2, branch3)
+def fuse(branch2: eg.Tensor, branch3: eg.Tensor) -> eg.Tensor:
+    """Pair channels then triple channels: (B,C2,k) and (B,C3,k) -> (B,C,k)."""
+    return eg.concat_channels([branch2, branch3])
 
 
 def global_pool(fused: eg.Tensor, mode: str = "mean") -> eg.Tensor:
@@ -111,18 +109,10 @@ def select_softmax(descriptor: eg.Tensor, branch_a: eg.Tensor, branch_b: eg.Tens
     return a, b
 
 
-def apply_select(
-    branch2: eg.Tensor, branch3: eg.Tensor, a: eg.Tensor, b: eg.Tensor
-) -> eg.Tensor:
-    """Attention-weighted output map V_c = a_c * U2_c + b_c * U3_c.
-
-    On pair channels this reduces to a_c * U2_c and on triple channels to
-    b_c * U3_c because of the zero slots.
-    """
-    drift = np.abs(a.data + b.data - 1.0).max() if a.data.size else 0.0
-    if drift > 1e-5:
-        raise ShapeError(f"attention weights not normalized: |a+b-1| up to {drift:.2e}")
-    return eg.add(eg.scale_channels(branch2, a), eg.scale_channels(branch3, b))
+def apply_select(fused: eg.Tensor, a: eg.Tensor, b: eg.Tensor, num_pairs: int) -> eg.Tensor:
+    """Attention-weighted output map: pair channel c scaled by a_c, triple
+    channel c by b_c, as one scale by w = [a[:, :C2] | b[:, C2:]]."""
+    return eg.scale_channels(fused, eg.join_columns(a, b, num_pairs))
 
 
 def channel_weight_means(a: np.ndarray, b: np.ndarray, layout: ChannelLayout) -> np.ndarray:

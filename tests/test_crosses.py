@@ -86,14 +86,15 @@ class TestBranchTensors:
         layout = ChannelLayout.build(3)
         E = eg.Tensor(np.array([[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]]))
         out = build_branch_3(E, layout)
-        assert np.array_equal(out.data[0, layout.num_pairs], [6.0, 6.0])
+        assert np.array_equal(out.data[0, 0], [6.0, 6.0])
 
     def test_identical_embeddings_symmetric_triples(self):
         layout = ChannelLayout.build(5)
         e = np.array([0.5, -2.0, 1.5])
         E = eg.Tensor(np.broadcast_to(e, (1, 5, 3)).copy())
         u3 = build_branch_3(E, layout).data[0]
-        for c in range(layout.num_pairs, layout.num_channels):
+        assert u3.shape == (layout.num_triples, 3)
+        for c in range(layout.num_triples):
             assert np.allclose(u3[c], e * e * e)
 
     @pytest.mark.parametrize("f", range(3, 9))
@@ -106,16 +107,14 @@ class TestBranchTensors:
         for b in range(4):
             expect2 = brute_force_pairs(E[b])
             expect3 = brute_force_triples(E[b])
-            assert np.array_equal(u2[b, : layout.num_pairs], expect2)
-            assert np.array_equal(u3[b, layout.num_pairs :], expect3)
+            assert np.array_equal(u2[b], expect2)
+            assert np.array_equal(u3[b], expect3)
 
-    def test_zero_slot_invariant(self):
+    def test_branches_hold_only_live_channels(self):
         layout = ChannelLayout.build(5)
         E = eg.Tensor(np.random.default_rng(3).standard_normal((2, 5, 4)))
-        u2 = build_branch_2(E, layout).data
-        u3 = build_branch_3(E, layout).data
-        assert np.array_equal(u2[:, layout.num_pairs :], np.zeros_like(u2[:, layout.num_pairs :]))
-        assert np.array_equal(u3[:, : layout.num_pairs], np.zeros_like(u3[:, : layout.num_pairs]))
+        assert build_branch_2(E, layout).data.shape == (2, layout.num_pairs, 4)
+        assert build_branch_3(E, layout).data.shape == (2, layout.num_triples, 4)
 
     def test_permutation_consistency(self):
         # swapping two field embeddings permutes channels, values unchanged
@@ -138,17 +137,15 @@ class TestBranchTensors:
         base3 = build_branch_3(eg.Tensor(E), layout).data[0]
         swap3 = build_branch_3(eg.Tensor(swapped), layout).data[0]
         for c, triple in enumerate(layout.triples):
-            target = layout.triples.index(mapped(triple)) + layout.num_pairs
+            target = layout.triples.index(mapped(triple))
             # triple products regroup under the swap, so equality is up to rounding
-            np.testing.assert_allclose(
-                base3[c + layout.num_pairs], swap3[target], rtol=1e-14, atol=0
-            )
+            np.testing.assert_allclose(base3[c], swap3[target], rtol=1e-14, atol=0)
 
     def test_gradients_flow_to_embeddings(self):
         layout = ChannelLayout.build(4)
         E = eg.Tensor(np.random.default_rng(5).standard_normal((2, 4, 3)), requires_grad=True)
         E.zero_grad()
-        loss = eg.sum_all(eg.add(build_branch_2(E, layout), build_branch_3(E, layout)))
+        loss = eg.add(eg.sum_all(build_branch_2(E, layout)), eg.sum_all(build_branch_3(E, layout)))
         loss.backward()
         assert E.grad.shape == E.data.shape
         assert np.abs(E.grad).sum() > 0

@@ -2,6 +2,7 @@
 finite differences, plus init, dropout, stores and checkpoint round-trips."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -129,6 +130,24 @@ class TestPrimitiveGradients:
     def test_pad_channels(self):
         check_op(lambda ts: eg.pad_channels(ts[0], 5, 2), [randn(2, 3, 4)])
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_cross_products(self, order):
+        index = eg.CrossIndex(list(combinations(range(5), order)))
+        check_op(lambda ts: eg.cross_products(ts[0], index), [randn(2, 5, 3)])
+
+    def test_cross_products_gapped_table(self):
+        # last fields that are not consecutive, and runs of one row
+        index = eg.CrossIndex([(0, 1, 3), (0, 1, 4), (0, 2, 4), (1, 3, 4)])
+        check_op(lambda ts: eg.cross_products(ts[0], index), [randn(2, 5, 3)])
+
+    def test_concat_channels(self):
+        check_op(
+            lambda ts: eg.concat_channels(list(ts)), [randn(2, 3, 4), randn(2, 1, 4), randn(2, 2, 4)]
+        )
+
+    def test_join_columns(self):
+        check_op(lambda ts: eg.join_columns(ts[0], ts[1], 2), [randn(3, 5), randn(3, 5)])
+
     def test_scale_channels(self):
         check_op(
             lambda ts: eg.scale_channels(ts[0], ts[1]), [randn(2, 3, 4), randn(2, 3)]
@@ -223,6 +242,36 @@ class TestOpSemantics:
         out = eg.add(t, t)
         eg.sum_all(out).backward()
         assert t.grad[0] == pytest.approx(2.0)
+
+    def test_shared_gradient_arrays_are_never_written(self):
+        # add hands the same gradient array to both parents; the second
+        # gradient reaching the interior node must not write into it
+        t = eg.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        t.zero_grad()
+        u = eg.mul(t, eg.Tensor(np.array([3.0, 5.0])))
+        s = eg.add(u, u)
+        w = eg.add(s, u)
+        eg.sum_all(w).backward()
+        assert np.array_equal(t.grad, [9.0, 15.0])
+        assert np.array_equal(s.grad, [1.0, 1.0]) and np.array_equal(w.grad, [1.0, 1.0])
+
+    def test_leaf_without_grad_gets_an_owned_copy(self):
+        t = eg.Tensor(np.ones(3), requires_grad=True)
+        eg.sum_all(eg.add(t, t)).backward()
+        assert np.array_equal(t.grad, [2.0, 2.0, 2.0])
+        assert t.grad.flags.writeable and t.grad.flags.owndata
+
+    def test_cross_products_values_and_errors(self):
+        x = eg.Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
+        out = eg.cross_products(x, eg.CrossIndex([(0, 1), (0, 2), (1, 2)]))
+        assert np.array_equal(out.data, [[[3.0, 8.0], [5.0, 12.0], [15.0, 24.0]]])
+        out = eg.cross_products(x, eg.CrossIndex([(0, 1, 2)]))
+        assert np.array_equal(out.data, [[[15.0, 48.0]]])
+        for bad in ([(1, 0)], [(0, 2), (0, 1)], [(0, 1), (0, 1)], [(0,)], [(-1, 0)]):
+            with pytest.raises(ShapeError):
+                eg.CrossIndex(bad)
+        with pytest.raises(ShapeError, match="out of range"):
+            eg.cross_products(x, eg.CrossIndex([(0, 3)]))
 
     def test_deterministic_backward(self):
         x = np.linspace(-1, 1, 12).reshape(3, 4)

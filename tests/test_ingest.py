@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiinet import ingest
 from fiinet.errors import DataError
@@ -215,3 +217,85 @@ class TestFileRoundTrips:
     def test_load_missing_dir(self, tmp_path):
         with pytest.raises(DataError, match="fields.tsv"):
             ingest.load_prepared(tmp_path / "nope")
+
+
+class TestVocabularyFile:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(), min_size=1, max_size=8, unique=True), st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    def test_round_trip_any_strings(self, tmp_path_factory, values0, values1):
+        vocab = ingest.Vocabulary(
+            [ingest.FieldSchema("f0", 0, len(values0) + 1), ingest.FieldSchema("f1", 1, len(values1) + 1)],
+            [{v: i for i, v in enumerate(values0, 1)}, {v: i for i, v in enumerate(values1, 1)}],
+        )
+        path = tmp_path_factory.mktemp("vocab") / "vocab.tsv"
+        vocab.save(path)
+        loaded = ingest.Vocabulary.load(path, ["f0", "f1"])
+        assert loaded.maps == vocab.maps
+        assert loaded.schemas == vocab.schemas
+
+    def test_escapes_written(self, tmp_path):
+        vocab = ingest.build_vocabulary([["x\ty"], ["a\\nb"], ["l1\nl2\r"]], ["f"])
+        path = tmp_path / "vocab.tsv"
+        vocab.save(path)
+        assert path.read_text().splitlines() == [
+            "f\tx\\ty\t1", "f\ta\\\\nb\t2", "f\tl1\\nl2\\r\t3",
+        ]
+
+    def test_unknown_escape_rejected(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("f\ta\\q\t1\n")
+        with pytest.raises(DataError, match=r"vocab.tsv:1: unknown escape"):
+            ingest.Vocabulary.load(path, ["f"])
+
+    @pytest.mark.parametrize("lines,bad_line", [
+        (["f\ta\t1", "f\tb\t1"], 2),  # repeated index
+        (["f\ta\t1", "f\tb\t3"], 2),  # gap
+        (["f\ta\t1", "f\ta\t2"], 2),  # repeated value
+        (["f\ta\t2", "f\tb\t1"], 1),  # out of order
+        (["f\ta\t1", "f\tb\tx"], 2),  # not an integer
+    ])
+    def test_bad_indices_name_file_and_line(self, tmp_path, lines, bad_line):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"vocab.tsv:{bad_line}: "):
+            ingest.Vocabulary.load(path, ["f"])
+
+    def test_save_refuses_indices_load_would_reject(self, tmp_path):
+        vocab = ingest.Vocabulary([ingest.FieldSchema("f", 0, 3)], [{"a": 1, "b": 3}])
+        with pytest.raises(DataError, match="not 1..2"):
+            vocab.save(tmp_path / "vocab.tsv")
+
+    def test_prepared_round_trip_with_tab_and_newline(self, tmp_path):
+        rows = [["x\ty", "p"], ["a\nb", "q"], ["x\ty", "q"], ["c", "p"], ["a\nb", "p"]]
+        vocab = ingest.build_vocabulary(rows, ["f0", "f1"])
+        ds = ingest.EncodedDataset(np.stack([vocab.encode_row(r) for r in rows]), np.array([1, 0, 1, 0, 1]))
+        ingest.write_prepared(tmp_path / "out", vocab, ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=1))
+        loaded, _ = ingest.load_prepared(tmp_path / "out")
+        assert loaded.maps == vocab.maps
+
+
+class TestSplitFileValidation:
+    @pytest.mark.parametrize("second,message", [
+        ("1 x 2", "non-integer token"),
+        ("7 1 2", "label 7 is not 0 or 1"),
+        ("-1 1 2", "label -1 is not 0 or 1"),
+        ("1 -3 2", "negative field index"),
+        ("1 1", r"expected 1\+2 integers"),
+    ])
+    def test_bad_second_line_names_file_and_line(self, tmp_path, second, message):
+        path = tmp_path / "train.txt"
+        path.write_text("0 1 2\n" + second + "\n")
+        with pytest.raises(DataError, match=rf"train.txt:2: {message}"):
+            ingest.read_split_file(path, 2)
+
+    def test_load_prepared_rejects_out_of_range_indices(self, tmp_path):
+        rows = [["a", "x"], ["b", "y"], ["c", "x"], ["a", "y"], ["b", "x"]]
+        vocab = ingest.build_vocabulary(rows, ["f0", "f1"])
+        ds = ingest.EncodedDataset(np.stack([vocab.encode_row(r) for r in rows]), np.array([1, 0, 1, 0, 1]))
+        ingest.write_prepared(tmp_path, vocab, ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=5))
+        (tmp_path / "test.txt").write_text("1 0 9\n")
+        with pytest.raises(DataError, match="index out of range for field 'f1'"):
+            ingest.load_prepared(tmp_path)
+        (tmp_path / "test.txt").write_text("1 0 0\n0 -1 0\n")
+        with pytest.raises(DataError, match="test.txt:2: negative field index"):
+            ingest.load_prepared(tmp_path)

@@ -19,22 +19,22 @@ class TestFuse:
         E = eg.Tensor(rand(3, 4, 5, seed=1))
         u2 = build_branch_2(E, layout)
         u3 = build_branch_3(E, layout)
-        fused = sk.fuse_sum(u2, u3).data
+        fused = sk.fuse(u2, u3).data
         # independent concat oracle
-        concat = np.concatenate(
-            [u2.data[:, : layout.num_pairs], u3.data[:, layout.num_pairs :]], axis=1
-        )
+        concat = np.concatenate([u2.data, u3.data], axis=1)
         assert np.array_equal(fused, concat)
-        # pair channels pass through unchanged since the other branch is zero
-        assert np.array_equal(fused[:, : layout.num_pairs], u2.data[:, : layout.num_pairs])
+        # pair channels come first, unchanged
+        assert np.array_equal(fused[:, : layout.num_pairs], u2.data)
 
     def test_fuse_zero_branches(self):
-        z = eg.Tensor(np.zeros((2, 4, 3)))
-        assert np.array_equal(sk.fuse_sum(z, z).data, np.zeros((2, 4, 3)))
+        fused = sk.fuse(eg.Tensor(np.zeros((2, 1, 3))), eg.Tensor(np.zeros((2, 3, 3))))
+        assert np.array_equal(fused.data, np.zeros((2, 4, 3)))
 
     def test_fuse_layout_mismatch(self):
         with pytest.raises(ShapeError):
-            sk.fuse_sum(eg.Tensor(np.zeros((2, 4, 3))), eg.Tensor(np.zeros((2, 5, 3))))
+            sk.fuse(eg.Tensor(np.zeros((2, 4, 3))), eg.Tensor(np.zeros((2, 5, 4))))
+        with pytest.raises(ShapeError):
+            sk.fuse(eg.Tensor(np.zeros((2, 4, 3))), eg.Tensor(np.zeros((3, 5, 3))))
 
 
 class TestPooling:
@@ -132,47 +132,63 @@ class TestSelectSoftmax:
 
 class TestApplySelect:
     def test_arithmetic_example(self):
-        u2 = eg.Tensor(np.array([[[4.0, 0.0]]]))
-        u3 = eg.Tensor(np.array([[[0.0, 4.0]]]))
-        a = eg.Tensor(np.array([[0.25]]))
-        b = eg.Tensor(np.array([[0.75]]))
-        v = sk.apply_select(u2, u3, a, b)
-        assert np.array_equal(v.data, [[[1.0, 3.0]]])
+        # channel 0 is a pair channel, channel 1 a triple channel
+        fused = eg.Tensor(np.array([[[4.0, 0.0], [0.0, 4.0]]]))
+        a = eg.Tensor(np.array([[0.25, 0.25]]))
+        b = eg.Tensor(np.array([[0.75, 0.75]]))
+        v = sk.apply_select(fused, a, b, num_pairs=1)
+        assert np.array_equal(v.data, [[[1.0, 0.0], [0.0, 3.0]]])
+        assert np.array_equal(v.data.sum(axis=1), [[1.0, 3.0]])
 
     def test_weight_near_one_limit(self):
-        u2 = eg.Tensor(np.array([[[2.0, -3.0]]]))
-        u3 = eg.Tensor(np.array([[[5.0, 5.0]]]))
-        a = eg.Tensor(np.array([[1.0 - 1e-7]]))
-        b = eg.Tensor(np.array([[1e-7]]))
-        v = sk.apply_select(u2, u3, a, b)
+        fused = eg.Tensor(np.array([[[2.0, -3.0], [5.0, 5.0]]]))
+        a = eg.Tensor(np.array([[1.0 - 1e-7, 1.0 - 1e-7]]))
+        b = eg.Tensor(np.array([[1e-7, 1e-7]]))
+        v = sk.apply_select(fused, a, b, num_pairs=1)
         np.testing.assert_allclose(v.data[0, 0], [2.0, -3.0], atol=1e-5)
-
-    def test_unnormalized_weights_rejected(self):
-        u = eg.Tensor(np.zeros((1, 1, 2)))
-        with pytest.raises(ShapeError, match="not normalized"):
-            sk.apply_select(u, u, eg.Tensor(np.array([[0.6]])), eg.Tensor(np.array([[0.6]])))
+        np.testing.assert_allclose(v.data[0, 1], [0.0, 0.0], atol=1e-5)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(20)
-        u2d, u3d = rng.standard_normal((2, 3, 7, 4))
+        fused = rng.standard_normal((3, 7, 4))
         aw = rng.uniform(0.01, 0.99, (3, 7))
+        num_pairs = 3
         v = sk.apply_select(
-            eg.Tensor(u2d), eg.Tensor(u3d), eg.Tensor(aw), eg.Tensor(1.0 - aw)
+            eg.Tensor(fused), eg.Tensor(aw), eg.Tensor(1.0 - aw), num_pairs
         ).data
-        expect = np.empty_like(u2d)
+        expect = np.empty_like(fused)
         for n in range(3):
             for c in range(7):
-                expect[n, c] = aw[n, c] * u2d[n, c] + (1 - aw[n, c]) * u3d[n, c]
+                w = aw[n, c] if c < num_pairs else 1 - aw[n, c]
+                expect[n, c] = w * fused[n, c]
         np.testing.assert_allclose(v, expect, rtol=1e-12)
+
+    def test_equals_padded_formula(self):
+        # a * U2 + b * U3 over zero-padded branches, the formula the live
+        # layout replaces, gives the same values
+        rng = np.random.default_rng(22)
+        layout = ChannelLayout.build(4)
+        E = eg.Tensor(rng.standard_normal((3, 4, 5)))
+        u2, u3 = build_branch_2(E, layout), build_branch_3(E, layout)
+        aw = rng.uniform(0.01, 0.99, (3, layout.num_channels))
+        v = sk.apply_select(
+            sk.fuse(u2, u3), eg.Tensor(aw), eg.Tensor(1.0 - aw), layout.num_pairs
+        ).data
+        pad2 = np.zeros((3, layout.num_channels, 5))
+        pad2[:, : layout.num_pairs] = u2.data
+        pad3 = np.zeros_like(pad2)
+        pad3[:, layout.num_pairs :] = u3.data
+        expect = aw[:, :, None] * pad2 + (1.0 - aw)[:, :, None] * pad3
+        assert np.array_equal(v, expect)
 
     def test_convex_combination_bound(self):
         rng = np.random.default_rng(21)
-        u2d, u3d = rng.standard_normal((2, 4, 6, 3))
+        fused = rng.standard_normal((4, 6, 3))
         aw = rng.uniform(0.0, 1.0, (4, 6))
         v = sk.apply_select(
-            eg.Tensor(u2d), eg.Tensor(u3d), eg.Tensor(aw), eg.Tensor(1.0 - aw)
+            eg.Tensor(fused), eg.Tensor(aw), eg.Tensor(1.0 - aw), num_pairs=2
         ).data
-        bound = np.maximum(np.abs(u2d).max(axis=-1), np.abs(u3d).max(axis=-1))
+        bound = np.abs(fused).max(axis=-1)
         assert (np.abs(v).max(axis=-1) <= bound + 1e-12).all()
 
 
@@ -195,12 +211,11 @@ class TestInitAndEndToEnd:
         target = rand(3, layout.num_channels, 4, seed=9)
 
         def loss_fn():
-            u2 = build_branch_2(E, layout)
-            u3 = build_branch_3(E, layout)
-            z = sk.global_mean_pool(sk.fuse_sum(u2, u3))
+            fused = sk.fuse(build_branch_2(E, layout), build_branch_3(E, layout))
+            z = sk.global_mean_pool(fused)
             s = sk.reduce_descriptor(z, sk_params.w1)
             a, b = sk.select_softmax(s, sk_params.branch_a, sk_params.branch_b)
-            v = sk.apply_select(u2, u3, a, b)
+            v = sk.apply_select(fused, a, b, layout.num_pairs)
             diff = eg.sub(v, eg.Tensor(target))
             return eg.mean_all(eg.mul(diff, diff))
 
