@@ -76,9 +76,13 @@ class Tensor:
         Leaf tensors with requires_grad set accumulate (+=) into the gradient
         arrays they own, so parameter grads must be zeroed per minibatch; a
         leaf with no gradient yet gets a copy of the first one to arrive.
+        A row-sparse gradient from ``gather_rows`` is scattered straight
+        into a leaf's own dense gradient (zeros first if it has none), so
+        no (V,k) table is built for a leaf.
         An interior node stores the first gradient to reach it as it is,
         which may be a view shared with other nodes, and adds later ones out
-        of place, so no gradient array an op returned is ever written.
+        of place, so no gradient array an op returned is ever written; a
+        row-sparse gradient reaching an interior node is made dense first.
         """
         if self.data.size != 1:
             raise ShapeError(
@@ -110,12 +114,37 @@ class Tensor:
                 if pg is None:
                     continue
                 if parent._backward is not None:
+                    if type(pg) is _RowGrad:
+                        pg = pg.dense(parent.data)
                     parent.grad = pg if parent.grad is None else parent.grad + pg
                 elif parent.requires_grad:
-                    if parent.grad is None:
+                    if type(pg) is _RowGrad:
+                        if parent.grad is None:
+                            parent.grad = np.zeros_like(parent.data)
+                        np.add.at(parent.grad, pg.rows, pg.values)
+                    elif parent.grad is None:
                         parent.grad = np.array(pg, dtype=parent.data.dtype)
                     else:
                         parent.grad += pg
+
+
+class _RowGrad:
+    """Gradient of a (V,k) table that is zero outside the gathered rows.
+
+    ``values[...]`` is added into row ``rows[...]``; rows may repeat, and
+    repeats accumulate.  Only ``Tensor.backward`` reads it.
+    """
+
+    __slots__ = ("rows", "values")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray):
+        self.rows = rows
+        self.values = values
+
+    def dense(self, table: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(table)
+        np.add.at(out, self.rows, self.values)
+        return out
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -188,36 +217,6 @@ def one_minus(a: Tensor) -> Tensor:
     return _make(one - a.data, (a,), lambda g: (-g,), "one_minus")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; accepts (n,m)@(m,p) or the matvec form (n,m)@(m,)."""
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ShapeError(
-            f"matmul: unsupported ranks {a.data.shape} @ {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions disagree {a.data.shape} @ {b.data.shape}"
-        )
-    out = a.data @ b.data
-    if b.data.ndim == 1:
-
-        def backward(g):
-            return np.outer(g, b.data), a.data.T @ g
-
-    else:
-
-        def backward(g):
-            return g @ b.data.T, a.data.T @ g
-
-    return _make(out, (a, b), backward, "matmul")
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.data.shape}")
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
-
-
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """Batched affine map without bias: (B,n) x (m,n) -> (B,m), out = x @ w.T."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
@@ -278,8 +277,11 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     """Select rows of a (V,k) table; indices may be any integer array.
 
-    Output shape is indices.shape + (k,).  Backward scatter-adds, so
-    repeated indices accumulate.
+    Output shape is indices.shape + (k,).  Backward returns the gradient
+    row-sparse, as the indices and the incoming (...,k) values, and
+    ``Tensor.backward`` scatter-adds it, so repeated indices accumulate.
+    A leaf table's gradient is written only at the gathered rows; a table
+    that is an interior node receives the dense (V,k) gradient.
     """
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-D table, got {table.data.shape}")
@@ -291,13 +293,7 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
             f"gather_rows: index out of range for table with {table.data.shape[0]} rows"
         )
     out = table.data[idx]
-
-    def backward(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, idx, g)
-        return (dt,)
-
-    return _make(out, (table,), backward, "gather_rows")
+    return _make(out, (table,), lambda g: (_RowGrad(idx, g),), "gather_rows")
 
 
 def stack_fields(tensors: list[Tensor]) -> Tensor:
@@ -610,26 +606,7 @@ def xavier_init(shape: tuple[int, int], seed: int, name: str = "", dtype=np.floa
 
 
 # ---------------------------------------------------------------------------
-# parameter and gradient stores
-
-
-class GradientStore:
-    """Loss gradients, name-for-name congruent with a ParameterStore."""
-
-    def __init__(self, grads: dict[str, np.ndarray]):
-        self._grads = dict(grads)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._grads[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._grads
-
-    def names(self) -> list[str]:
-        return list(self._grads)
-
-    def items(self):
-        return self._grads.items()
+# parameter store
 
 
 class ParameterStore:
@@ -670,12 +647,6 @@ class ParameterStore:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()
-
-    def gradients(self) -> GradientStore:
-        out = {}
-        for name, t in self._params.items():
-            out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
-        return GradientStore(out)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}

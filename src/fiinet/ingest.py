@@ -86,11 +86,13 @@ class Vocabulary:
     def save(self, path) -> None:
         """One line per entry, in index order: field_name TAB value TAB index.
 
-        Backslash, tab, newline and carriage return in a value are written
-        as the escapes \\\\, \\t, \\n and \\r, so any string reads back.
+        Backslash, tab, newline and carriage return in a field name or a
+        value are written as the escapes \\\\, \\t, \\n and \\r, so any
+        string reads back.
         """
         with open(path, "w", encoding="utf-8") as f:
             for schema, mapping in zip(self.schemas, self.maps):
+                name = schema.field_name.translate(_ESCAPES)
                 entries = sorted(mapping.items(), key=lambda kv: kv[1])
                 for expected, (value, idx) in enumerate(entries, 1):
                     if idx != expected:
@@ -98,13 +100,15 @@ class Vocabulary:
                             f"field '{schema.field_name}': vocabulary indices are not "
                             f"1..{len(entries)} (found {idx} where {expected} belongs)"
                         )
-                    f.write(f"{schema.field_name}\t{value.translate(_ESCAPES)}\t{idx}\n")
+                    f.write(f"{name}\t{value.translate(_ESCAPES)}\t{idx}\n")
 
     @classmethod
     def load(cls, path, field_names: list[str]) -> "Vocabulary":
         """Read a file ``save`` wrote.  Each field's values must take the
         indices 1, 2, 3, ... in file order, each value once."""
         maps: dict[str, dict[str, int]] = {name: {} for name in field_names}
+        # field names as save escapes them, so each line is looked up as read
+        by_text = {name.translate(_ESCAPES): maps[name] for name in field_names}
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 try:
@@ -116,7 +120,7 @@ class Vocabulary:
                 if "\\" in value:
                     value = _unescape(value, path, lineno)
                 try:
-                    m = maps[name]
+                    m = by_text[name]
                     m[value] = index = int(idx)
                 except KeyError:
                     raise DataError(f"{path}:{lineno}: unknown field '{name}'") from None
@@ -145,7 +149,7 @@ def _unescape(value: str, path, lineno: int) -> str:
             return _UNESCAPES[m.group(1)]
         except KeyError:
             raise DataError(
-                f"{path}:{lineno}: unknown escape {m.group(0)!r} in vocabulary value"
+                f"{path}:{lineno}: unknown escape {m.group(0)!r}"
             ) from None
 
     return _ESCAPE_SEQUENCE.sub(replace, value)
@@ -335,11 +339,45 @@ def write_prepared(out_dir, vocab: Vocabulary, split: DatasetSplit) -> None:
     with open(out / "fields.tsv", "w", encoding="utf-8") as f:
         f.write("field_index\tfield_name\tcardinality\n")
         for s in vocab.schemas:
-            f.write(f"{s.field_index}\t{s.field_name}\t{s.cardinality}\n")
+            f.write(f"{s.field_index}\t{s.field_name.translate(_ESCAPES)}\t{s.cardinality}\n")
     vocab.save(out / "vocab.tsv")
     write_split_file(out / "train.txt", split.train)
     write_split_file(out / "valid.txt", split.valid)
     write_split_file(out / "test.txt", split.test)
+
+
+def _read_fields(path) -> list[tuple[int, str, int]]:
+    """(line number, field name, cardinality) per row of a fields.tsv that
+    ``write_prepared`` wrote: a header, then field_index 0, 1, 2, ... in order."""
+    fields = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if lineno == 1 or line == "\n":
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 3:
+                raise DataError(
+                    f"{path}:{lineno}: expected 3 tab-separated columns "
+                    f"(field_index, field_name, cardinality), got {len(parts)}"
+                )
+            index = _int_column(parts[0], "field_index", path, lineno)
+            cardinality = _int_column(parts[2], "cardinality", path, lineno)
+            if index != len(fields):
+                raise DataError(
+                    f"{path}:{lineno}: field_index {index} out of order, expected {len(fields)}"
+                )
+            name = _unescape(parts[1], path, lineno) if "\\" in parts[1] else parts[1]
+            fields.append((lineno, name, cardinality))
+    if not fields:
+        raise DataError(f"{path}: no fields")
+    return fields
+
+
+def _int_column(text: str, column: str, path, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: {column} {text!r} is not an integer") from None
 
 
 def load_prepared(data_dir) -> tuple[Vocabulary, DatasetSplit]:
@@ -347,14 +385,14 @@ def load_prepared(data_dir) -> tuple[Vocabulary, DatasetSplit]:
     fields_path = data / "fields.tsv"
     if not fields_path.exists():
         raise DataError(f"no prepared data at {data}: missing fields.tsv")
-    names = []
-    with open(fields_path, encoding="utf-8") as f:
-        next(f)
-        for line in f:
-            if line.strip():
-                _, name, _ = line.rstrip("\n").split("\t")
-                names.append(name)
-    vocab = Vocabulary.load(data / "vocab.tsv", names)
+    fields = _read_fields(fields_path)
+    vocab = Vocabulary.load(data / "vocab.tsv", [name for _, name, _ in fields])
+    for (lineno, name, cardinality), schema in zip(fields, vocab.schemas):
+        if cardinality != schema.cardinality:
+            raise DataError(
+                f"{fields_path}:{lineno}: field '{name}' has cardinality {cardinality}, "
+                f"but vocab.tsv gives {schema.cardinality}"
+            )
     f = vocab.num_fields
     split = DatasetSplit(
         train=read_split_file(data / "train.txt", f),

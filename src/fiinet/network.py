@@ -278,8 +278,3 @@ class CtrModel:
             _, a, b = self.attention_weights(self._embeddings(idx))
         return a.data.copy(), b.data.copy()
 
-
-def make_variant(kind: str, schemas: list[FieldSchema], config: ModelConfig) -> CtrModel:
-    """Construct a model of the given kind, reusing the rest of the config."""
-    cfg = ModelConfig(**{**config.__dict__, "variant": kind.lower()})
-    return CtrModel(schemas, cfg)

@@ -88,10 +88,6 @@ def global_pool(fused: eg.Tensor, mode: str = "mean") -> eg.Tensor:
     raise ShapeError(f"unknown pooling mode '{mode}'")
 
 
-def global_mean_pool(fused: eg.Tensor) -> eg.Tensor:
-    return global_pool(fused, "mean")
-
-
 def reduce_descriptor(stats: eg.Tensor, w1: eg.Tensor) -> eg.Tensor:
     """Squeeze the channel statistics: s = relu(w1 . Z), batched (B,C)->(B,d)."""
     return eg.relu(eg.linear(stats, w1))

@@ -299,3 +299,53 @@ class TestSplitFileValidation:
         (tmp_path / "test.txt").write_text("1 0 0\n0 -1 0\n")
         with pytest.raises(DataError, match="test.txt:2: negative field index"):
             ingest.load_prepared(tmp_path)
+
+
+class TestFieldsFile:
+    @staticmethod
+    def prepared(out, field_names=("f0", "f1")):
+        rows = [["a", "x"], ["b", "y"], ["c", "x"], ["a", "y"], ["b", "x"]]
+        rows = [[row[i % 2] for i in range(len(field_names))] for row in rows]
+        vocab = ingest.build_vocabulary(rows, list(field_names))
+        ds = ingest.EncodedDataset(np.stack([vocab.encode_row(r) for r in rows]), np.array([1, 0, 1, 0, 1]))
+        ingest.write_prepared(out, vocab, ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=5))
+        return vocab
+
+    def test_written_format(self, tmp_path):
+        self.prepared(tmp_path)
+        assert (tmp_path / "fields.tsv").read_text() == (
+            "field_index\tfield_name\tcardinality\n0\tf0\t4\n1\tf1\t3\n"
+        )
+
+    @pytest.mark.parametrize("rows,bad_line,message", [
+        (["0\tf0", "1\tf1\t3"], 2, "expected 3 tab-separated columns"),
+        (["0\tf0\t4", "1\tf\t1\t3"], 3, "expected 3 tab-separated columns"),
+        (["x\tf0\t4", "1\tf1\t3"], 2, "field_index 'x' is not an integer"),
+        (["0\tf0\t4", "1\tf1\tmany"], 3, "cardinality 'many' is not an integer"),
+        (["1\tf0\t4", "0\tf1\t3"], 2, "field_index 1 out of order, expected 0"),
+        (["0\tf0\t4", "0\tf1\t3"], 3, "field_index 0 out of order, expected 1"),
+        (["0\tf0\t4", "1\tf1\t99"], 3, "field 'f1' has cardinality 99, but vocab.tsv gives 3"),
+        (["0\tf\\q0\t4", "1\tf1\t3"], 2, "unknown escape"),
+    ])
+    def test_bad_rows_name_file_and_line(self, tmp_path, rows, bad_line, message):
+        self.prepared(tmp_path)
+        (tmp_path / "fields.tsv").write_text(
+            "field_index\tfield_name\tcardinality\n" + "\n".join(rows) + "\n"
+        )
+        with pytest.raises(DataError, match=rf"fields.tsv:{bad_line}: {message}"):
+            ingest.load_prepared(tmp_path)
+
+    def test_no_fields(self, tmp_path):
+        self.prepared(tmp_path)
+        (tmp_path / "fields.tsv").write_text("")
+        with pytest.raises(DataError, match="fields.tsv: no fields"):
+            ingest.load_prepared(tmp_path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    def test_round_trip_any_field_names(self, tmp_path_factory, names):
+        out = tmp_path_factory.mktemp("prepared")
+        vocab = self.prepared(out, names)
+        loaded, _ = ingest.load_prepared(out)
+        assert loaded.schemas == vocab.schemas
+        assert loaded.maps == vocab.maps

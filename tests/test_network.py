@@ -1,7 +1,9 @@
 """Model variants: gradients of every variant against finite differences,
-FiiNet's forward against a plain-numpy restatement of the padded-branch
-formula, and ModelConfig validation."""
+table gradients against a dense scatter, FiiNet's forward against a
+plain-numpy restatement of the padded-branch formula, and ModelConfig
+validation."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -44,6 +46,60 @@ def test_variant_gradients_pass_fd_check(variant, pooling):
         lambda: model.loss(x, y), model.params, eps=1e-5, max_coords_per_group=24
     )
     assert max(report.values()) < 1e-4, report
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_table_gradients_equal_a_dense_scatter(variant, precision, monkeypatch):
+    # record the gradient reaching each gather, then redo its scatter-add
+    # into a dense zero table with plain numpy
+    gathers = []
+    real = eg.gather_rows
+
+    def recording(table, indices):
+        out = real(table, indices)
+        backward = out._backward
+
+        def spy(g):
+            gathers.append((table, np.asarray(indices), g.copy()))
+            return backward(g)
+
+        out._backward = spy
+        return out
+
+    monkeypatch.setattr(eg, "gather_rows", recording)
+    model = small_model(variant, precision=precision)
+    x, y = batch(n=40)  # 40 rows over 6 values: every column repeats
+    model.params.zero_grad()
+    model.loss(x, y).backward()
+    tables = {id(t): name for name, t in model.params.items()
+              if name.startswith(("linear/f", "embed/"))}
+    assert len(gathers) == len(tables)
+    for table, idx, g in gathers:
+        want = np.zeros_like(table.data)
+        np.add.at(want, idx, g)
+        assert len(np.unique(idx)) < len(idx)
+        assert table.grad.tobytes() == want.tobytes(), tables[id(table)]
+
+
+def test_backward_memory_does_not_grow_with_vocabulary():
+    def backward_peak_mb(cardinality):
+        schemas = [FieldSchema(f"f{i}", i, cardinality) for i in range(6)]
+        model = CtrModel(schemas, ModelConfig(embedding_dim=8, hidden_sizes=(16,), dropout=0.0))
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, cardinality, size=(256, 6))
+        y = rng.integers(0, 2, size=256)
+        model.params.zero_grad()
+        loss = model.loss(x, y)
+        tracemalloc.start()
+        try:
+            loss.backward()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    small, large = backward_peak_mb(1000), backward_peak_mb(100_000)
+    assert large - small < 0.5, (small, large)
 
 
 def _sigmoid(z):
