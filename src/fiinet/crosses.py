@@ -113,16 +113,3 @@ def build_branch_3(embeddings: eg.Tensor, layout: ChannelLayout) -> eg.Tensor:
     if not layout.triples:
         raise ShapeError("layout carries no triple channels")
     return eg.cross_products(embeddings, layout.triple_index)
-
-
-def write_layout(layout: ChannelLayout, field_names: list[str], path) -> None:
-    """Dump channel index -> order and field-name tuple, one line per channel."""
-    if len(field_names) != layout.num_fields:
-        raise ShapeError(
-            f"{len(field_names)} field names for a {layout.num_fields}-field layout"
-        )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("channel\torder\tfields\n")
-        for c in range(layout.num_channels):
-            names = ",".join(field_names[i] for i in layout.channel_fields(c))
-            f.write(f"{c}\t{layout.channel_order(c)}\t{names}\n")

@@ -15,7 +15,7 @@ import math
 import struct
 import zlib
 from contextlib import contextmanager
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -195,16 +195,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard (elementwise) product of two equal-shape tensors."""
     _require_same_shape(a, b, "mul")
     return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
-
-
-def hadamard(*tensors: Tensor) -> Tensor:
-    """Elementwise product of two or more equal-shape tensors."""
-    if len(tensors) < 2:
-        raise ShapeError("hadamard needs at least two operands")
-    out = tensors[0]
-    for t in tensors[1:]:
-        out = mul(out, t)
-    return out
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -501,21 +491,6 @@ def mean_lastdim(x: Tensor) -> Tensor:
         out, (x,), lambda g: (np.broadcast_to((g / k)[..., None], x.data.shape),),
         "mean_lastdim",
     )
-
-
-def max_lastdim(x: Tensor) -> Tensor:
-    """Max over the trailing axis; ties route the gradient to the first hit."""
-    if x.data.shape[-1] == 0:
-        raise ShapeError("max_lastdim over an empty axis")
-    arg = x.data.argmax(axis=-1)
-    out = np.take_along_axis(x.data, arg[..., None], axis=-1)[..., 0]
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        np.put_along_axis(dx, arg[..., None], g[..., None], axis=-1)
-        return (dx,)
-
-    return _make(out, (x,), backward, "max_lastdim")
 
 
 def sum_lastdim(x: Tensor) -> Tensor:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Every error carries a short machine-parsable ``category`` so the CLI can
-emit a single structured line and a stable exit code.
+Every error carries a short machine-parsable ``category`` naming the kind
+of failure: config, data, shape, numeric or checkpoint.
 """
 
 
@@ -27,11 +27,3 @@ class NonFiniteError(FiinetError):
 
 class CheckpointError(FiinetError):
     category = "checkpoint"
-
-
-class MetricError(FiinetError):
-    category = "metric"
-
-
-class TrainingDivergedError(FiinetError):
-    category = "diverged"

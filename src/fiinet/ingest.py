@@ -52,7 +52,6 @@ class DatasetSplit:
     train: EncodedDataset
     valid: EncodedDataset
     test: EncodedDataset
-    split_seed: int
 
 
 class Vocabulary:
@@ -69,11 +68,8 @@ class Vocabulary:
     def num_fields(self) -> int:
         return len(self.schemas)
 
-    def encode_value(self, field: int, value: str) -> int:
-        return self.maps[field].get(value, OOV_INDEX)
-
     def decode_value(self, field: int, index: int) -> str | None:
-        """Inverse of encode for in-vocabulary indices; OOV decodes to None."""
+        """Inverse of encode_row for in-vocabulary indices; OOV decodes to None."""
         return self._inverse[field].get(index)
 
     def encode_row(self, row: list[str]) -> np.ndarray:
@@ -230,13 +226,13 @@ def split_dataset(
     parts = [
         EncodedDataset(dataset.indices[sel], dataset.labels[sel]) for sel in sections
     ]
-    return DatasetSplit(train=parts[0], valid=parts[1], test=parts[2], split_seed=seed)
+    return DatasetSplit(train=parts[0], valid=parts[1], test=parts[2])
 
 
-def read_table(path, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
-    """Delimiter-separated text with a header row."""
+def read_table(path) -> tuple[list[str], list[list[str]]]:
+    """Comma-separated text with a header row."""
     with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f, delimiter=delimiter)
+        reader = csv.reader(f)
         try:
             header = next(reader)
         except StopIteration:
@@ -398,7 +394,6 @@ def load_prepared(data_dir) -> tuple[Vocabulary, DatasetSplit]:
         train=read_split_file(data / "train.txt", f),
         valid=read_split_file(data / "valid.txt", f),
         test=read_split_file(data / "test.txt", f),
-        split_seed=-1,
     )
     for part in (split.train, split.valid, split.test):
         for s in vocab.schemas:

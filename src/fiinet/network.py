@@ -11,7 +11,7 @@ pairwise inner-product sum; LR keeps only the linear part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,8 @@ DEEP_VARIANTS = {
 PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
 PROB_EPS = 1e-7
+# Rows per forward pass in predict_proba.
+PREDICT_CHUNK = 4096
 
 
 @dataclass
@@ -43,17 +45,18 @@ class ModelConfig:
     min_reduced_dim: int = sk.DEFAULT_MIN_REDUCED_DIM
     hidden_sizes: tuple[int, ...] = (128, 64)
     dropout: float = 0.2
-    pooling: str = "mean"
     seed: int = 2023
     precision: str = "float32"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}' (choose from {VARIANTS})")
-        if self.pooling not in sk.POOLING_MODES:
-            raise ConfigError(
-                f"unknown pooling mode '{self.pooling}' (choose from {sk.POOLING_MODES})"
-            )
+        for name in ("embedding_dim", "reduction_ratio", "min_reduced_dim"):
+            _require_positive_int(name, getattr(self, name))
+        for size in self.hidden_sizes:
+            _require_positive_int("hidden_sizes", size)
+        if self.variant in DEEP_VARIANTS and not self.hidden_sizes:
+            raise ConfigError(f"hidden_sizes: {self.variant} needs at least one hidden layer")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
         if self.precision not in PRECISIONS:
@@ -65,13 +68,22 @@ class ModelConfig:
         return PRECISIONS[self.precision]
 
 
+def _require_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigError(f"{name} must be a positive int, got {value!r}")
+
+
 def bce_loss(probs: eg.Tensor, labels: np.ndarray) -> eg.Tensor:
-    """Mean binary cross-entropy; probabilities are clamped away from {0,1}."""
+    """Mean binary cross-entropy of labels in {0,1}; probabilities are
+    clamped away from {0,1}."""
     y = np.asarray(labels)
     if probs.data.ndim != 1 or y.shape != probs.data.shape:
         raise ShapeError(
             f"bce_loss: scores {probs.data.shape} vs labels {y.shape}"
         )
+    bad = (y != 0) & (y != 1)
+    if bad.any():
+        raise DataError(f"bce_loss: label {y[bad][0].item()!r} is not 0 or 1")
     p = eg.clamp(probs, PROB_EPS, 1.0 - PROB_EPS)
     y_t = eg.Tensor(y.astype(probs.data.dtype))
     pos = eg.mul(y_t, eg.log(p))
@@ -136,8 +148,6 @@ class CtrModel:
                 self.params, self.layout.num_channels, cfg.reduction_ratio,
                 cfg.min_reduced_dim, seed,
             )
-        if not cfg.hidden_sizes:
-            raise ShapeError("deep variants need at least one hidden layer")
         width = self.layout.num_channels * cfg.embedding_dim
         for li, h in enumerate(cfg.hidden_sizes):
             w = self.params.register(
@@ -214,7 +224,7 @@ class CtrModel:
         if self.sk_params is None:
             raise ShapeError(f"variant '{self.config.variant}' has no attention weights")
         fused = self._cross_channels(emb)
-        stats = sk.global_pool(fused, self.config.pooling)
+        stats = sk.global_pool(fused)
         descriptor = sk.reduce_descriptor(stats, self.sk_params.w1)
         a, b = sk.select_softmax(descriptor, self.sk_params.branch_a, self.sk_params.branch_b)
         return fused, a, b
@@ -226,13 +236,11 @@ class CtrModel:
         indices: np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
-        return_attention: bool = False,
-    ):
+    ) -> eg.Tensor:
         """Predicted probabilities for a batch, shape (B,), open interval (0,1)."""
         idx = self._validate_indices(indices)
         batch = idx.shape[0]
         z = self._linear_logit(idx)
-        attention = None
         if self.layout is not None:
             emb = self._embeddings(idx)
             if self.sk_params is None:
@@ -240,23 +248,19 @@ class CtrModel:
             else:
                 fused, a, b = self.attention_weights(emb)
                 v = sk.apply_select(fused, a, b, self.layout.num_pairs)
-                attention = (a, b)
             flat = eg.reshape(v, (batch, self.layout.num_channels * self.config.embedding_dim))
             z = eg.add(z, self._dnn(flat, training, rng))
         elif self.config.variant == "fm":
             z = eg.add(z, self._fm_score(self._embeddings(idx)))
-        probs = eg.sigmoid(eg.reshape(z, (batch,)))
-        if return_attention:
-            return probs, attention
-        return probs
+        return eg.sigmoid(eg.reshape(z, (batch,)))
 
-    def predict_proba(self, indices: np.ndarray, batch_size: int = 4096) -> np.ndarray:
+    def predict_proba(self, indices: np.ndarray) -> np.ndarray:
         """Evaluation-mode probabilities, computed off the tape in chunks."""
         idx = self._validate_indices(indices)
         out = np.empty(idx.shape[0], dtype=np.float64)
         with eg.no_grad():
-            for start in range(0, idx.shape[0], batch_size):
-                chunk = idx[start : start + batch_size]
+            for start in range(0, idx.shape[0], PREDICT_CHUNK):
+                chunk = idx[start : start + PREDICT_CHUNK]
                 out[start : start + chunk.shape[0]] = self.forward(chunk).data
         return out
 

@@ -1,8 +1,8 @@
 """Selective-kernel attention over cross channels (the Fuse and Select stages).
 
 Fuse joins the pair branch (B,C2,k) and the triple branch (B,C3,k) along
-the channel axis into the (B,C,k) cross channels, pools each channel to a
-global scalar, and squeezes the C-length statistic through a
+the channel axis into the (B,C,k) cross channels, pools each channel to its
+global mean, and squeezes the C-length statistic through a
 reduce/excite bottleneck.  Select scores every channel with two branch
 matrices and normalizes the pair of logits with a two-way softmax,
 yielding convex weights (a_c, b_c) per channel.  Each channel belongs to
@@ -27,7 +27,6 @@ from .errors import DataError, ShapeError
 
 DEFAULT_REDUCTION_RATIO = 3
 DEFAULT_MIN_REDUCED_DIM = 8
-POOLING_MODES = ("mean", "max")
 
 
 def reduced_dim(num_channels: int, ratio: int, min_dim: int = DEFAULT_MIN_REDUCED_DIM) -> int:
@@ -72,20 +71,12 @@ def fuse(branch2: eg.Tensor, branch3: eg.Tensor) -> eg.Tensor:
     return eg.concat_channels([branch2, branch3])
 
 
-def global_pool(fused: eg.Tensor, mode: str = "mean") -> eg.Tensor:
-    """Compress (B,C,k) to per-channel statistics (B,C).
-
-    Mean pooling is the default; max pooling is kept as an option.
-    """
+def global_pool(fused: eg.Tensor) -> eg.Tensor:
+    """Compress (B,C,k) to per-channel statistics (B,C) by global average
+    pooling, as SKNet squeezes each channel."""
     if fused.data.ndim != 3:
         raise ShapeError(f"global_pool expects (B,C,k), got {fused.data.shape}")
-    if fused.data.shape[-1] == 0:
-        raise ShapeError("global_pool over empty embedding dimension")
-    if mode == "mean":
-        return eg.mean_lastdim(fused)
-    if mode == "max":
-        return eg.max_lastdim(fused)
-    raise ShapeError(f"unknown pooling mode '{mode}'")
+    return eg.mean_lastdim(fused)
 
 
 def reduce_descriptor(stats: eg.Tensor, w1: eg.Tensor) -> eg.Tensor:

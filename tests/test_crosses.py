@@ -10,7 +10,6 @@ from fiinet.crosses import (
     build_branch_3,
     enumerate_pairs,
     enumerate_triples,
-    write_layout,
 )
 from fiinet.errors import ShapeError
 
@@ -164,14 +163,3 @@ class TestBranchTensors:
             build_branch_3(E, pair_only)
         triple_only = ChannelLayout.build(4, orders=(3,))
         assert build_branch_3(E, triple_only).data.shape == (2, 4, 3)
-
-
-def test_write_layout(tmp_path):
-    layout = ChannelLayout.build(3)
-    path = tmp_path / "layout.tsv"
-    write_layout(layout, ["a", "b", "c"], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "channel\torder\tfields"
-    assert lines[1] == "0\t2\ta,b"
-    assert lines[-1] == "3\t3\ta,b,c"
-    assert len(lines) == 1 + layout.num_channels

@@ -75,12 +75,6 @@ class TestPrimitiveGradients:
     def test_mul(self):
         check_op(lambda ts: eg.mul(ts[0], ts[1]), [randn(3, 3), randn(3, 3)])
 
-    def test_hadamard_three_way(self):
-        check_op(
-            lambda ts: eg.hadamard(ts[0], ts[1], ts[2]),
-            [randn(3, 3), randn(3, 3), randn(3, 3)],
-        )
-
     def test_neg_scale_one_minus(self):
         check_op(lambda ts: eg.neg(ts[0]), [randn(3, 3)])
         check_op(lambda ts: eg.scale(ts[0], -2.5), [randn(3, 3)])
@@ -160,9 +154,6 @@ class TestPrimitiveGradients:
     def test_mean_lastdim(self):
         check_op(lambda ts: eg.mean_lastdim(ts[0]), [randn(2, 3, 4)])
 
-    def test_max_lastdim(self):
-        check_op(lambda ts: eg.max_lastdim(ts[0]), [randn(2, 3, 5)])
-
     def test_sum_lastdim(self):
         check_op(lambda ts: eg.sum_lastdim(ts[0]), [randn(2, 4)])
 
@@ -187,12 +178,10 @@ class TestOpSemantics:
         out = eg.linear(eg.Tensor(np.array([[1.0, 1.0]])), w)
         assert np.array_equal(out.data, [[3.0, 7.0]])
 
-    def test_hadamard_examples(self):
+    def test_mul_examples(self):
         a = eg.Tensor(np.array([1.0, 2.0]))
         b = eg.Tensor(np.array([3.0, 4.0]))
-        c = eg.Tensor(np.array([5.0, 6.0]))
         assert np.array_equal(eg.mul(a, b).data, [3.0, 8.0])
-        assert np.array_equal(eg.hadamard(a, b, c).data, [15.0, 48.0])
         assert np.array_equal(eg.mul(a, eg.Tensor(np.ones(2))).data, a.data)
 
     def test_sigmoid_relu_values(self):

@@ -1,7 +1,7 @@
 """Model variants: gradients of every variant against finite differences,
-table gradients against a dense scatter, FiiNet's forward against a
-plain-numpy restatement of the padded-branch formula, and ModelConfig
-validation."""
+table gradients against a dense scatter, each deep variant's forward
+against a plain-numpy restatement of the padded-branch formula, label
+checks in the loss, and ModelConfig validation."""
 
 import tracemalloc
 from itertools import combinations
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fiinet import engine as eg
-from fiinet.errors import ConfigError
+from fiinet.errors import ConfigError, DataError, ShapeError
 from fiinet.ingest import FieldSchema
 from fiinet.network import VARIANTS, CtrModel, ModelConfig
 
@@ -18,11 +18,11 @@ NUM_FIELDS = 4
 CARDINALITY = 6
 
 
-def small_model(variant, pooling="mean", precision="float64", seed=3):
+def small_model(variant, precision="float64", seed=3):
     schemas = [FieldSchema(f"f{i}", i, CARDINALITY) for i in range(NUM_FIELDS)]
     cfg = ModelConfig(
         variant=variant, embedding_dim=3, hidden_sizes=(5,), min_reduced_dim=2,
-        dropout=0.0, pooling=pooling, precision=precision, seed=seed,
+        dropout=0.0, precision=precision, seed=seed,
     )
     model = CtrModel(schemas, cfg)
     # move off the initial point, where every select weight is exactly 0.5
@@ -37,10 +37,10 @@ def batch(n=7, seed=4):
     return rng.integers(0, CARDINALITY, size=(n, NUM_FIELDS)), rng.integers(0, 2, size=n)
 
 
-@pytest.mark.parametrize("pooling", ["mean", "max"])
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_variant_gradients_pass_fd_check(variant, pooling):
-    model = small_model(variant, pooling)
+# the "-mean" in the ids names the pooling of the Fuse stage, a global mean
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: f"{v}-mean")
+def test_variant_gradients_pass_fd_check(variant):
+    model = small_model(variant)
     x, y = batch()
     report = eg.finite_difference_check(
         lambda: model.loss(x, y), model.params, eps=1e-5, max_coords_per_group=24
@@ -113,12 +113,14 @@ def _sigmoid(z):
     return out
 
 
-def padded_fiinet_proba(state, names, idx, pooling):
-    """FiiNet in evaluation mode with both branches zero-padded to all C
-    channels and selected as a * U2 + b * U3."""
+def padded_proba(state, names, idx, orders=(2, 3), attention=True):
+    """A deep variant in evaluation mode with both branches zero-padded to
+    all C channels.  With attention they are selected as a * U2 + b * U3;
+    without it they are summed, U2 + U3.  ``orders`` names the cross orders
+    the variant builds; an absent order's branch is all zeros."""
     e = np.stack([state[f"embed/{n}"][idx[:, f]] for f, n in enumerate(names)], axis=1)
-    pairs = list(combinations(range(len(names)), 2))
-    triples = list(combinations(range(len(names)), 3))
+    pairs = list(combinations(range(len(names)), 2)) if 2 in orders else []
+    triples = list(combinations(range(len(names)), 3)) if 3 in orders else []
     c2, c = len(pairs), len(pairs) + len(triples)
     u2 = np.zeros((idx.shape[0], c, e.shape[2]), dtype=e.dtype)
     u3 = np.zeros_like(u2)
@@ -127,11 +129,12 @@ def padded_fiinet_proba(state, names, idx, pooling):
     for ch, (i, j, k) in enumerate(triples):
         u3[:, c2 + ch] = (e[:, i] * e[:, j]) * e[:, k]
     fused = u2 + u3
-    stats = fused.mean(axis=-1) if pooling == "mean" else fused.max(axis=-1)
-    s = np.maximum(stats @ state["sk/w1"].T, 0)
-    a = _sigmoid(s @ state["sk/A"].T - s @ state["sk/B"].T)
-    b = a.dtype.type(1) - a
-    h = (u2 * a[:, :, None] + u3 * b[:, :, None]).reshape(idx.shape[0], -1)
+    if attention:
+        s = np.maximum(fused.mean(axis=-1) @ state["sk/w1"].T, 0)
+        a = _sigmoid(s @ state["sk/A"].T - s @ state["sk/B"].T)
+        b = a.dtype.type(1) - a
+        fused = u2 * a[:, :, None] + u3 * b[:, :, None]
+    h = fused.reshape(idx.shape[0], -1)
     layer = 0
     while f"dnn/w{layer}" in state:
         h = np.maximum(h @ state[f"dnn/w{layer}"].T + state[f"dnn/b{layer}"], 0)
@@ -144,15 +147,26 @@ def padded_fiinet_proba(state, names, idx, pooling):
     return _sigmoid(z.reshape(-1)).astype(np.float64)
 
 
-@pytest.mark.parametrize("pooling", ["mean", "max"])
-@pytest.mark.parametrize("precision", ["float32", "float64"])
-def test_fiinet_matches_padded_formula_bitwise(precision, pooling):
-    model = small_model("fiinet", pooling, precision)
+def assert_matches_padded_formula(variant, precision, orders=(2, 3), attention=True):
+    model = small_model(variant, precision)
     x, _ = batch(n=33, seed=9)
     names = [s.field_name for s in model.schemas]
-    want = padded_fiinet_proba(model.params.state_arrays(), names, x, pooling)
-    got = model.predict_proba(x)
-    assert got.tobytes() == want.tobytes()
+    want = padded_proba(model.params.state_arrays(), names, x, orders, attention)
+    assert model.predict_proba(x).tobytes() == want.tobytes()
+
+
+# the "-mean" in the ids names the pooling of the Fuse stage, a global mean
+@pytest.mark.parametrize("precision", ["float32", "float64"], ids=lambda p: f"{p}-mean")
+def test_fiinet_matches_padded_formula_bitwise(precision):
+    assert_matches_padded_formula("fiinet", precision)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("variant,orders", [
+    ("fiinet-sh", (2, 3)), ("fiinet-h", (2,)), ("fiinet-s", (3,)),
+])
+def test_ablation_matches_padded_formula_bitwise(variant, orders, precision):
+    assert_matches_padded_formula(variant, precision, orders, attention=False)
 
 
 @pytest.mark.parametrize("variant,pairs,triples,attention", [
@@ -164,14 +178,29 @@ def test_deep_variants_cross_orders_and_attention(variant, pairs, triples, atten
     assert (model.layout.num_pairs, model.layout.num_triples) == (pairs, triples)
     assert (model.sk_params is not None) == attention
     x, _ = batch()
-    probs, weights = model.forward(x, return_attention=True)
-    assert probs.data.shape == (7,)
-    assert (weights is not None) == attention
+    assert model.forward(x).data.shape == (7,)
+    if attention:
+        a, b = model.batch_attention(x)
+        assert a.shape == b.shape == (7, pairs + triples)
+    else:
+        with pytest.raises(ShapeError, match="no attention weights"):
+            model.batch_attention(x)
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 7], [0, 1, -1], [0.5, 1, 0]])
+def test_loss_rejects_labels_outside_0_1(labels):
+    model = small_model("fiinet")
+    x, _ = batch(n=3)
+    with pytest.raises(DataError, match="is not 0 or 1"):
+        model.loss(x, labels)
 
 
 @pytest.mark.parametrize("field,value", [
-    ("variant", "deepfm"), ("pooling", "median"), ("dropout", -0.1),
+    ("variant", "deepfm"), ("dropout", -0.1),
     ("dropout", 1.0), ("precision", "float16"),
+    ("embedding_dim", 2.5), ("embedding_dim", 0), ("reduction_ratio", 0),
+    ("min_reduced_dim", -1), ("hidden_sizes", (0,)), ("hidden_sizes", (8, 2.5)),
+    ("hidden_sizes", ()),
 ])
 def test_config_rejects_bad_values_when_built(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -180,4 +209,5 @@ def test_config_rejects_bad_values_when_built(field, value):
 
 def test_config_accepts_defaults_and_edges():
     ModelConfig()
-    ModelConfig(dropout=0.0, pooling="max", precision="float64", variant="lr")
+    ModelConfig(dropout=0.0, precision="float64", variant="lr", hidden_sizes=())
+    ModelConfig(variant="fm", embedding_dim=1, hidden_sizes=())

@@ -40,24 +40,18 @@ class TestFuse:
 class TestPooling:
     def test_mean_example(self):
         u = eg.Tensor(np.array([[[2.0, 4.0, 6.0]]]))
-        assert sk.global_pool(u, "mean").data[0, 0] == pytest.approx(4.0)
+        assert sk.global_pool(u).data[0, 0] == pytest.approx(4.0)
 
     def test_zero_and_constant_channels(self):
         u = np.zeros((1, 2, 3))
         u[0, 1] = 7.5
-        z = sk.global_pool(eg.Tensor(u), "mean").data
+        z = sk.global_pool(eg.Tensor(u)).data
         assert z[0, 0] == 0.0
         assert z[0, 1] == pytest.approx(7.5)
 
-    def test_max_option(self):
-        u = eg.Tensor(np.array([[[1.0, 9.0, 2.0]]]))
-        assert sk.global_pool(u, "max").data[0, 0] == 9.0
-        with pytest.raises(ShapeError):
-            sk.global_pool(u, "median")
-
     def test_empty_embedding_axis(self):
         with pytest.raises(ShapeError):
-            sk.global_pool(eg.Tensor(np.zeros((1, 2, 0))), "mean")
+            sk.global_pool(eg.Tensor(np.zeros((1, 2, 0))))
 
 
 class TestReducedDim:
@@ -212,7 +206,7 @@ class TestInitAndEndToEnd:
 
         def loss_fn():
             fused = sk.fuse(build_branch_2(E, layout), build_branch_3(E, layout))
-            z = sk.global_pool(fused, "mean")
+            z = sk.global_pool(fused)
             s = sk.reduce_descriptor(z, sk_params.w1)
             a, b = sk.select_softmax(s, sk_params.branch_a, sk_params.branch_b)
             v = sk.apply_select(fused, a, b, layout.num_pairs)
