@@ -83,6 +83,8 @@ class Tensor:
         which may be a view shared with other nodes, and adds later ones out
         of place, so no gradient array an op returned is ever written; a
         row-sparse gradient reaching an interior node is made dense first.
+        An interior node drops its gradient once its own backward has run,
+        so after the sweep only leaves hold gradients.
         """
         if self.data.size != 1:
             raise ShapeError(
@@ -110,6 +112,7 @@ class Tensor:
             if node._backward is None or node.grad is None:
                 continue
             parent_grads = node._backward(node.grad)
+            node.grad = None
             for parent, pg in zip(node._parents, parent_grads):
                 if pg is None:
                     continue

@@ -158,23 +158,42 @@ def build_vocabulary(rows: list[list[str]], field_names: list[str]) -> Vocabular
     """
     if not rows:
         raise DataError("empty dataset")
-    f = len(field_names)
-    maps: list[dict[str, int]] = [dict() for _ in range(f)]
-    for rowno, row in enumerate(rows, 1):
-        if len(row) != f:
-            raise DataError(f"ragged row {rowno}: {len(row)} columns, expected {f}")
-        for i, value in enumerate(row):
-            if value not in maps[i]:
-                maps[i][value] = len(maps[i]) + 1
-    schemas = [FieldSchema(name, i, len(maps[i]) + 1) for i, name in enumerate(field_names)]
+    return _first_appearance(_columns(rows, len(field_names), 1), field_names)
+
+
+def _columns(rows: list[list[str]], width: int, first_rowno: int) -> list[list[str]]:
+    """The rows transposed, once every row is checked to have ``width``
+    entries; rows are numbered from ``first_rowno`` in errors."""
+    if set(map(len, rows)) - {width}:
+        rowno, row = next(
+            (n, row) for n, row in enumerate(rows, first_rowno) if len(row) != width
+        )
+        raise DataError(f"ragged row {rowno}: {len(row)} columns, expected {width}")
+    flat = list(itertools.chain.from_iterable(rows))
+    return [flat[j::width] for j in range(width)]
+
+
+def _first_appearance(columns: list, field_names: list[str]) -> Vocabulary:
+    """One map per column: each distinct value, in first-appearance order,
+    to 1, 2, 3, ..."""
+    maps = []
+    for column in columns:
+        values = dict.fromkeys(column)
+        maps.append(dict(zip(values, range(1, len(values) + 1))))
+    schemas = [
+        FieldSchema(name, i, len(m) + 1) for i, (name, m) in enumerate(zip(field_names, maps))
+    ]
     return Vocabulary(schemas, maps)
 
 
-def binarize_label(raw_score: float, threshold: float) -> int:
-    """1 iff raw_score > threshold (strict), else 0."""
-    if not math.isfinite(raw_score):
-        raise DataError(f"non-finite label score {raw_score!r}")
-    return 1 if raw_score > threshold else 0
+def binarize_label(scores, threshold: float) -> np.ndarray:
+    """1 where score > threshold (strict), else 0, as int64 of the scores'
+    shape; a scalar gives a 0-d array."""
+    scores = np.asarray(scores, dtype=np.float64)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise DataError(f"non-finite label score {float(scores[~finite][0])!r}")
+    return (scores > threshold).astype(np.int64)
 
 
 def bucketize_numeric(values: list[str], num_bins: int) -> list[str]:
@@ -239,7 +258,7 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
             raise DataError(f"{path}: empty file") from None
         rows = [row for row in reader if row]
     if not rows:
-        raise DataError("empty dataset")
+        raise DataError(f"{path}: empty dataset")
     return header, rows
 
 
@@ -257,32 +276,39 @@ def encode_table(
     if missing:
         raise DataError(f"missing columns: {', '.join(missing)}")
     col_of = {name: header.index(name) for name in header}
-    width = len(header)
-    for rowno, row in enumerate(rows, 2):  # header was line 1
-        if len(row) != width:
-            raise DataError(f"ragged row {rowno}: {len(row)} columns, expected {width}")
+    table = _columns(rows, len(header), 2)  # header was line 1
 
-    columns = {name: [row[col_of[name]] for row in rows] for name in field_columns}
+    columns = {name: table[col_of[name]] for name in field_columns}
     for name in numeric_fields or []:
         if name not in columns:
             raise DataError(f"numeric field '{name}' is not a field column")
         columns[name] = bucketize_numeric(columns[name], numeric_bins)
+    if not rows:
+        raise DataError("empty dataset")
+    vocab = _first_appearance([columns[name] for name in field_columns], field_columns)
 
-    field_rows = [
-        [columns[name][i] for name in field_columns] for i in range(len(rows))
-    ]
-    vocab = build_vocabulary(field_rows, field_columns)
-
-    labels = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
-        raw = row[col_of[label_column]]
-        try:
-            score = float(raw)
-        except ValueError:
-            raise DataError(f"row {i + 2}: non-numeric label {raw!r}") from None
-        labels[i] = binarize_label(score, threshold)
-    indices = np.stack([vocab.encode_row(r) for r in field_rows])
+    n = len(rows)
+    indices = np.empty((n, len(field_columns)), dtype=np.int64)
+    for j, (name, mapping) in enumerate(zip(field_columns, vocab.maps)):
+        indices[:, j] = np.fromiter(map(mapping.__getitem__, columns[name]), np.int64, n)
+    raw_labels = table[col_of[label_column]]
+    try:
+        labels = binarize_label(np.fromiter(map(float, raw_labels), np.float64, n), threshold)
+    except (ValueError, DataError):
+        raise _label_error(raw_labels) from None
     return vocab, EncodedDataset(indices=indices, labels=labels)
+
+
+def _label_error(raw_labels) -> DataError:
+    """The error for the first row whose label is not a finite number."""
+    for rowno, raw in enumerate(raw_labels, 2):  # header was line 1
+        try:
+            binarize_label(float(raw), 0.0)
+        except ValueError:
+            return DataError(f"row {rowno}: non-numeric label {raw!r}")
+        except DataError as exc:
+            return DataError(f"row {rowno}: {exc}")
+    return DataError("labels are not finite numbers")
 
 
 # ---------------------------------------------------------------------------
@@ -291,42 +317,62 @@ def encode_table(
 
 def write_split_file(path, dataset: EncodedDataset) -> None:
     """One example per line: label then the field indices, space-separated."""
+    table = np.column_stack((dataset.labels, dataset.indices))
+    line = " ".join(["%d"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        for label, idx in zip(dataset.labels, dataset.indices):
-            f.write(f"{int(label)} " + " ".join(str(int(v)) for v in idx) + "\n")
+        f.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def read_split_file(path, num_fields: int) -> EncodedDataset:
-    """Read a file ``write_split_file`` wrote: labels in {0,1}, indices >= 0."""
-    rows = []
+    """Read a file ``write_split_file`` wrote: labels in {0,1}, indices >= 0.
+
+    Blank lines are skipped; every other line must hold 1+num_fields
+    integers.
+    """
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != num_fields + 1:
-                raise DataError(f"{path}:{lineno}: expected 1+{num_fields} integers")
-            try:
-                rows.append(list(map(int, parts)))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer token in {line.strip()!r}") from None
-    if not rows:
-        return EncodedDataset(np.zeros((0, num_fields), dtype=np.int64), np.zeros(0, dtype=np.int64))
-    table = np.array(rows, dtype=np.int64)
+        text = f.read()
+    lines = text.split("\n")
+    width = num_fields + 1
+    counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    example_lines = np.flatnonzero(counts)  # blank lines hold no example
+    table = None
+    if (counts[example_lines] == width).all():
+        tokens = text.split()
+        # int() once per distinct token, then one lookup per token
+        distinct = dict.fromkeys(tokens)
+        try:
+            value_of = dict(zip(distinct, map(int, distinct)))
+            table = np.fromiter(map(value_of.__getitem__, tokens), np.int64, len(tokens))
+        except (ValueError, OverflowError):
+            pass
+    if table is None:
+        raise _split_line_error(path, lines, width)
+    table = table.reshape(len(example_lines), width)
     bad = (table[:, 0] > 1) | (table.min(axis=1) < 0)
     if bad.any():
         row = int(bad.argmax())
         label = int(table[row, 0])
         problem = f"label {label} is not 0 or 1" if label not in (0, 1) else "negative field index"
-        raise DataError(f"{path}:{_line_of_row(path, row)}: {problem}")
+        raise DataError(f"{path}:{example_lines[row] + 1}: {problem}")
     return EncodedDataset(table[:, 1:].copy(), table[:, 0].copy())
 
 
-def _line_of_row(path, row: int) -> int:
-    """1-based line number of the row-th (0-based) non-blank line."""
-    with open(path, encoding="utf-8") as f:
-        rows = (lineno for lineno, line in enumerate(f, 1) if line.split())
-        return next(itertools.islice(rows, row, None))
+def _split_line_error(path, lines: list[str], width: int) -> DataError:
+    """The error for the first line of a split file that is not blank and
+    not ``width`` int64 integers."""
+    for lineno, line in enumerate(lines, 1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != width:
+            return DataError(f"{path}:{lineno}: expected 1+{width - 1} integers")
+        try:
+            np.array(list(map(int, parts)), dtype=np.int64)
+        except ValueError:
+            return DataError(f"{path}:{lineno}: non-integer token in {line.strip()!r}")
+        except OverflowError:
+            return DataError(f"{path}:{lineno}: integer out of int64 range in {line.strip()!r}")
+    return DataError(f"{path}: malformed split file")
 
 
 def write_prepared(out_dir, vocab: Vocabulary, split: DatasetSplit) -> None:

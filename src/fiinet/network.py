@@ -11,6 +11,7 @@ pairwise inner-product sum; LR keeps only the linear part.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +53,20 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}' (choose from {VARIANTS})")
         for name in ("embedding_dim", "reduction_ratio", "min_reduced_dim"):
-            _require_positive_int(name, getattr(self, name))
+            _require_int(name, getattr(self, name))
+        if not isinstance(self.hidden_sizes, (tuple, list)):
+            raise ConfigError(
+                f"hidden_sizes must be a tuple or list of ints, got {self.hidden_sizes!r}"
+            )
         for size in self.hidden_sizes:
-            _require_positive_int("hidden_sizes", size)
+            _require_int("hidden_sizes", size)
         if self.variant in DEEP_VARIANTS and not self.hidden_sizes:
             raise ConfigError(f"hidden_sizes: {self.variant} needs at least one hidden layer")
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, numbers.Real):
+            raise ConfigError(f"dropout must be a real number, got {self.dropout!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
+        _require_int("seed", self.seed, minimum=0)
         if self.precision not in PRECISIONS:
             raise ConfigError(
                 f"unknown precision '{self.precision}' (choose from {tuple(PRECISIONS)})"
@@ -68,9 +76,10 @@ class ModelConfig:
         return PRECISIONS[self.precision]
 
 
-def _require_positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ConfigError(f"{name} must be a positive int, got {value!r}")
+def _require_int(name: str, value, minimum: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        kind = "a positive int" if minimum == 1 else f"an int >= {minimum}"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 def bce_loss(probs: eg.Tensor, labels: np.ndarray) -> eg.Tensor:

@@ -244,9 +244,27 @@ class TestOpSemantics:
         u = eg.mul(t, eg.Tensor(np.array([3.0, 5.0])))
         s = eg.add(u, u)
         w = eg.add(s, u)
+        returned = []  # every gradient array the two adds hand out, as handed out
+        for node in (s, w):
+            def spy(grad, backward=node._backward):
+                out = backward(grad)
+                returned.extend((g, g.copy()) for g in out)
+                return out
+            node._backward = spy
         eg.sum_all(w).backward()
         assert np.array_equal(t.grad, [9.0, 15.0])
-        assert np.array_equal(s.grad, [1.0, 1.0]) and np.array_equal(w.grad, [1.0, 1.0])
+        assert len(returned) == 4
+        assert all(np.array_equal(g, [1.0, 1.0]) and np.array_equal(g, before)
+                   for g, before in returned)
+
+    def test_interior_gradients_are_dropped_after_backward(self):
+        t = eg.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        t.zero_grad()
+        u = eg.mul(t, eg.Tensor(np.array([3.0, 5.0])))
+        loss = eg.sum_all(eg.add(u, u))
+        loss.backward()
+        assert u.grad is None and loss.grad is None
+        assert np.array_equal(t.grad, [6.0, 10.0])
 
     def test_leaf_without_grad_gets_an_owned_copy(self):
         t = eg.Tensor(np.ones(3), requires_grad=True)

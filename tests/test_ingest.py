@@ -164,6 +164,76 @@ class TestEncodeTable:
         age_values = set(vocab.maps[1])
         assert age_values <= {"b0", "b1"}
 
+    @pytest.mark.parametrize("bad,message", [
+        ("inf", "row 4: non-finite label score inf"),
+        ("-inf", "row 4: non-finite label score -inf"),
+        ("nan", "row 4: non-finite label score nan"),
+        ("seven", "row 4: non-numeric label 'seven'"),
+    ])
+    def test_label_errors_name_the_row(self, bad, message):
+        rows = [*self.ROWS[:2], [*self.ROWS[2][:3], bad], self.ROWS[3]]
+        with pytest.raises(DataError, match=f"^{message}$"):
+            ingest.encode_table(rows, self.HEADER, "rating", ["user"], threshold=6)
+
+    def test_first_bad_label_is_named(self):
+        rows = [row[:3] + [label] for row, label in zip(self.ROWS, ["1", "inf", "x", "2"])]
+        with pytest.raises(DataError, match="row 3: non-finite"):
+            ingest.encode_table(rows, self.HEADER, "rating", ["user"], threshold=6)
+
+    def test_ragged_row_names_line(self):
+        rows = [self.ROWS[0], self.ROWS[1][:3], self.ROWS[2]]
+        with pytest.raises(DataError, match="ragged row 3: 3 columns, expected 4"):
+            ingest.encode_table(rows, self.HEADER, "rating", ["user"], threshold=6)
+
+
+def first_appearance(rows, num_fields):
+    """Plain-Python reference: per-field maps in first-appearance order and
+    each row's indices."""
+    maps = [{} for _ in range(num_fields)]
+    indices = [[maps[j].setdefault(v, len(maps[j]) + 1) for j, v in enumerate(row)]
+               for row in rows]
+    return maps, indices
+
+
+# strings that str.split, line iteration or numpy string arrays treat specially
+AWKWARD = st.sampled_from(["", "a", "a\x00", "\x00", " ", "a ", "\x85", "\r", "\t", "\n", "\\"])
+
+
+class TestEncodeTableMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda f: st.lists(
+        st.tuples(st.floats(-5, 5), st.lists(AWKWARD | st.text(max_size=3), min_size=f, max_size=f)),
+        min_size=3, max_size=30,
+    )))
+    def test_maps_indices_and_round_trip(self, tmp_path_factory, examples):
+        num_fields = len(examples[0][1])
+        names = [f"f{j}" for j in range(num_fields)]
+        fields = [values for _, values in examples]
+        rows = [[repr(score), *values] for score, values in examples]
+        vocab, ds = ingest.encode_table(rows, ["label", *names], "label", names, threshold=0.5)
+        maps, indices = first_appearance(fields, num_fields)
+        assert [list(m.items()) for m in vocab.maps] == [list(m.items()) for m in maps]
+        assert ds.indices.dtype == np.int64 and ds.indices.tolist() == indices
+        assert ds.labels.tolist() == [int(score > 0.5) for score, _ in examples]
+
+        out = tmp_path_factory.mktemp("prepared")
+        split = ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=3)
+        ingest.write_prepared(out, vocab, split)
+        loaded_vocab, loaded = ingest.load_prepared(out)
+        assert [list(m.items()) for m in loaded_vocab.maps] == [list(m.items()) for m in maps]
+        assert loaded_vocab.schemas == vocab.schemas
+        for part in ("train", "valid", "test"):
+            a, b = getattr(split, part), getattr(loaded, part)
+            assert np.array_equal(a.indices, b.indices) and np.array_equal(a.labels, b.labels)
+
+
+class TestReadTable:
+    def test_header_only_names_the_file(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("label,f0\n\n")
+        with pytest.raises(DataError, match=r"raw.csv: empty dataset"):
+            ingest.read_table(path)
+
 
 class TestFileRoundTrips:
     def test_vocab_file_format(self, tmp_path):
@@ -281,12 +351,41 @@ class TestSplitFileValidation:
         ("-1 1 2", "label -1 is not 0 or 1"),
         ("1 -3 2", "negative field index"),
         ("1 1", r"expected 1\+2 integers"),
+        (f"1 {2**63} 2", "integer out of int64 range"),
     ])
     def test_bad_second_line_names_file_and_line(self, tmp_path, second, message):
         path = tmp_path / "train.txt"
         path.write_text("0 1 2\n" + second + "\n")
         with pytest.raises(DataError, match=rf"train.txt:2: {message}"):
             ingest.read_split_file(path, 2)
+
+    def test_every_line_is_counted_not_just_the_total(self, tmp_path):
+        path = tmp_path / "train.txt"
+        path.write_text("0 1 2\n\n1 1\n0 1 2 3\n1 2 2\n")
+        with pytest.raises(DataError, match=r"train.txt:3: expected 1\+2 integers"):
+            ingest.read_split_file(path, 2)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "train.txt"
+        path.write_text("0 1 2\n1 x 2\n1 1\n")
+        with pytest.raises(DataError, match="train.txt:2: non-integer token"):
+            ingest.read_split_file(path, 2)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "train.txt"
+        path.write_text("\n0 1 2\n \t\n1 3 4\n\n0 -1 0\n")
+        with pytest.raises(DataError, match="train.txt:6: negative field index"):
+            ingest.read_split_file(path, 2)
+        path.write_text("\n0 1 2\n \t\n1 3 4\n\n")
+        back = ingest.read_split_file(path, 2)
+        assert back.indices.tolist() == [[1, 2], [3, 4]] and back.labels.tolist() == [0, 1]
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "train.txt"
+        path.write_text("")
+        back = ingest.read_split_file(path, 3)
+        assert back.indices.shape == (0, 3) and back.indices.dtype == np.int64
+        assert back.labels.shape == (0,) and back.labels.dtype == np.int64
 
     def test_load_prepared_rejects_out_of_range_indices(self, tmp_path):
         rows = [["a", "x"], ["b", "y"], ["c", "x"], ["a", "y"], ["b", "x"]]

@@ -200,7 +200,8 @@ def test_loss_rejects_labels_outside_0_1(labels):
     ("dropout", 1.0), ("precision", "float16"),
     ("embedding_dim", 2.5), ("embedding_dim", 0), ("reduction_ratio", 0),
     ("min_reduced_dim", -1), ("hidden_sizes", (0,)), ("hidden_sizes", (8, 2.5)),
-    ("hidden_sizes", ()),
+    ("hidden_sizes", ()), ("hidden_sizes", 64), ("hidden_sizes", "64"),
+    ("dropout", "0.2"), ("dropout", None), ("seed", -1), ("seed", 2.5), ("seed", True),
 ])
 def test_config_rejects_bad_values_when_built(field, value):
     with pytest.raises(ConfigError, match=field):
