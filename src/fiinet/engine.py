@@ -12,6 +12,7 @@ Convention: the leading axis of 2-D/3-D tensors is the minibatch axis.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from contextlib import contextmanager
@@ -670,34 +671,54 @@ def save_checkpoint(path, params: ParameterStore) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.dtype]:
-    """Read a checkpoint back into (name -> array, dtype); bit-exact."""
+    """Read a checkpoint back into (name -> array, dtype); bit-exact.
+
+    Each array is read straight into a fresh buffer, so the file is never
+    held twice.  Any fault (bad magic, version or dtype code, a record cut
+    short, a name that is not UTF-8 or appears twice, trailing bytes)
+    raises CheckpointError naming the path, and nothing is returned.
+    """
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad checkpoint magic in {path}")
-    version, code, count = struct.unpack_from("<III", blob, 8)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    if code not in _CODE_DTYPES:
-        raise CheckpointError(f"unknown checkpoint dtype code {code}")
-    le_dtype = _CODE_DTYPES[code]
-    pos = 20
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (rank,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{rank}Q", blob, pos)
-        pos += 8 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype=le_dtype, count=n, offset=pos).reshape(dims)
-        pos += n * le_dtype.itemsize
-        arrays[name] = arr.astype(le_dtype.newbyteorder("="))
-    if pos != len(blob):
-        raise CheckpointError(f"trailing bytes in checkpoint {path}")
+        size = os.fstat(f.fileno()).st_size
+
+        def need(n: int, what: str) -> None:
+            if n > size - f.tell():
+                raise CheckpointError(f"truncated checkpoint {path}: {what} runs past the end")
+
+        def read(n: int, what: str) -> bytes:
+            need(n, what)
+            return f.read(n)
+
+        if f.read(8) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"bad checkpoint magic in {path}")
+        version, code, count = struct.unpack("<III", read(12, "the header"))
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
+        if code not in _CODE_DTYPES:
+            raise CheckpointError(f"unknown checkpoint dtype code {code} in {path}")
+        le_dtype = _CODE_DTYPES[code]
+        arrays: dict[str, np.ndarray] = {}
+        for record in range(count):
+            (name_len,) = struct.unpack("<I", read(4, f"record {record}"))
+            try:
+                name = read(name_len, f"record {record}'s name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"record {record}'s name is not UTF-8 in checkpoint {path}"
+                ) from None
+            if name in arrays:
+                raise CheckpointError(f"parameter '{name}' appears twice in checkpoint {path}")
+            (rank,) = struct.unpack("<I", read(4, f"the rank of '{name}'"))
+            dims = struct.unpack(f"<{rank}Q", read(8 * rank, f"the shape of '{name}'"))
+            need(math.prod(dims) * le_dtype.itemsize, f"the values of '{name}'")
+            try:
+                arr = np.empty(dims, dtype=le_dtype)
+            except ValueError:
+                raise CheckpointError(f"bad shape {dims} of '{name}' in checkpoint {path}") from None
+            f.readinto(arr.reshape(-1).view(np.uint8))
+            arrays[name] = arr.astype(le_dtype.newbyteorder("="), copy=False)
+        if f.read(1):
+            raise CheckpointError(f"trailing bytes in checkpoint {path}")
     return arrays, np.dtype(le_dtype.newbyteorder("="))
 
 

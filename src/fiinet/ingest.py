@@ -58,6 +58,7 @@ class Vocabulary:
     """Per-field value-to-index maps; encoding of unseen values never errors."""
 
     def __init__(self, schemas: list[FieldSchema], maps: list[dict[str, int]]):
+        _require_unique([s.field_name for s in schemas])
         self.schemas = schemas
         self.maps = maps
         self._inverse = [
@@ -102,6 +103,7 @@ class Vocabulary:
     def load(cls, path, field_names: list[str]) -> "Vocabulary":
         """Read a file ``save`` wrote.  Each field's values must take the
         indices 1, 2, 3, ... in file order, each value once."""
+        _require_unique(field_names, f"{path}: ")
         maps: dict[str, dict[str, int]] = {name: {} for name in field_names}
         # field names as save escapes them, so each line is looked up as read
         by_text = {name.translate(_ESCAPES): maps[name] for name in field_names}
@@ -132,6 +134,14 @@ class Vocabulary:
             FieldSchema(name, i, len(maps[name]) + 1) for i, name in enumerate(field_names)
         ]
         return cls(schemas, [maps[name] for name in field_names])
+
+
+def _require_unique(field_names: list[str], where: str = "") -> None:
+    seen = set()
+    for name in field_names:
+        if name in seen:
+            raise DataError(f"{where}duplicate field name {name!r}")
+        seen.add(name)
 
 
 _ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
@@ -199,27 +209,26 @@ def binarize_label(scores, threshold: float) -> np.ndarray:
 def bucketize_numeric(values: list[str], num_bins: int) -> list[str]:
     """Map a numeric column to quantile-bin labels, usable as categories.
 
-    Unparsable entries get their own 'nan' token.
+    Unparsable and non-finite entries get their own 'nan' token.
     """
     if num_bins < 2:
         raise DataError(f"need at least 2 bins, got {num_bins}")
-    parsed = np.full(len(values), np.nan)
-    for i, v in enumerate(values):
-        try:
-            parsed[i] = float(v)
-        except ValueError:
-            pass
-    finite = parsed[np.isfinite(parsed)]
-    if finite.size == 0:
+    parsed = np.fromiter(map(_float_or_nan, values), np.float64, len(values))
+    finite = np.isfinite(parsed)
+    if not finite.any():
         return ["nan"] * len(values)
-    edges = np.unique(np.quantile(finite, np.linspace(0, 1, num_bins + 1)[1:-1]))
-    out = []
-    for x in parsed:
-        if not np.isfinite(x):
-            out.append("nan")
-        else:
-            out.append(f"b{int(np.searchsorted(edges, x, side='right'))}")
-    return out
+    edges = np.unique(np.quantile(parsed[finite], np.linspace(0, 1, num_bins + 1)[1:-1]))
+    labels = [f"b{i}" for i in range(len(edges) + 1)] + ["nan"]
+    codes = np.full(len(values), len(edges) + 1)
+    codes[finite] = np.searchsorted(edges, parsed[finite], side="right")
+    return list(map(labels.__getitem__, codes.tolist()))
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def split_dataset(
@@ -249,7 +258,8 @@ def split_dataset(
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Comma-separated text with a header row."""
+    """Comma-separated text with a header row.  Blank lines are skipped;
+    every other record must have as many columns as the header."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
@@ -259,7 +269,26 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
         rows = [row for row in reader if row]
     if not rows:
         raise DataError(f"{path}: empty dataset")
+    if set(map(len, rows)) - {len(header)}:
+        raise _ragged_record_error(path, len(header))
     return header, rows
+
+
+def _ragged_record_error(path, width: int) -> DataError:
+    """The error for the first record of a CSV file, after the header,
+    that is not blank and not ``width`` columns wide; it names the line the
+    record starts on."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
+        lineno = reader.line_num + 1
+        for row in reader:
+            if row and len(row) != width:
+                return DataError(
+                    f"{path}:{lineno}: ragged record: {len(row)} columns, expected {width}"
+                )
+            lineno = reader.line_num + 1
+    return DataError(f"{path}: ragged records")
 
 
 def encode_table(
@@ -409,6 +438,8 @@ def _read_fields(path) -> list[tuple[int, str, int]]:
                     f"{path}:{lineno}: field_index {index} out of order, expected {len(fields)}"
                 )
             name = _unescape(parts[1], path, lineno) if "\\" in parts[1] else parts[1]
+            if any(name == seen for _, seen, _ in fields):
+                raise DataError(f"{path}:{lineno}: duplicate field name {name!r}")
             fields.append((lineno, name, cardinality))
     if not fields:
         raise DataError(f"{path}: no fields")

@@ -34,8 +34,19 @@ DEEP_VARIANTS = {
 PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
 PROB_EPS = 1e-7
-# Rows per forward pass in predict_proba.
-PREDICT_CHUNK = 4096
+# Evaluation scores rows in blocks whose widest intermediate takes at most
+# this many bytes.  That is well below glibc's largest mmap threshold
+# (32 MiB), so the allocator reuses block-sized buffers instead of mapping,
+# faulting in and zeroing fresh pages for every intermediate.  Scoring 4000
+# rows of a 10-field, k=32 float32 model (2-core Xeon, 4 MiB L2, one BLAS
+# thread), 5-8 MiB per intermediate was fastest and took no minor faults;
+# 82 MiB (4096 rows per pass) took 1.5-2x as long.
+SCORE_BLOCK_BYTES = 6 * 2**20
+# Every block starts at a multiple of this many rows.  OpenBLAS's
+# matrix-vector kernel, which the output head runs, can round the last
+# (rows mod 4) rows of a batch differently from the others; with aligned
+# blocks every row gets the bits it gets in one whole-batch pass.
+SCORE_BLOCK_ALIGN = 16
 
 
 @dataclass
@@ -264,14 +275,12 @@ class CtrModel:
         return eg.sigmoid(eg.reshape(z, (batch,)))
 
     def predict_proba(self, indices: np.ndarray) -> np.ndarray:
-        """Evaluation-mode probabilities, computed off the tape in chunks."""
+        """Evaluation-mode probabilities, computed off the tape in row blocks."""
         idx = self._validate_indices(indices)
-        out = np.empty(idx.shape[0], dtype=np.float64)
-        with eg.no_grad():
-            for start in range(0, idx.shape[0], PREDICT_CHUNK):
-                chunk = idx[start : start + PREDICT_CHUNK]
-                out[start : start + chunk.shape[0]] = self.forward(chunk).data
-        return out
+        if idx.shape[0] == 0:
+            return np.empty(0)
+        blocks = self._in_blocks(idx, lambda block: self.forward(block).data)
+        return np.concatenate(blocks, dtype=np.float64)
 
     def loss(
         self,
@@ -287,7 +296,35 @@ class CtrModel:
         idx = self._validate_indices(indices)
         if idx.shape[0] == 0:
             raise DataError("empty sample for attention export")
+
+        def weights(block):
+            _, a, b = self.attention_weights(self._embeddings(block))
+            return a.data, b.data
+
+        a, b = zip(*self._in_blocks(idx, weights))
+        return np.concatenate(a), np.concatenate(b)
+
+    def _in_blocks(self, idx: np.ndarray, score) -> list:
+        """``score(block)`` off the tape for consecutive row blocks of
+        ``idx``: as few as fit ``_block_rows``, near-equal in size, each
+        starting at a multiple of SCORE_BLOCK_ALIGN."""
+        n = idx.shape[0]
+        units = -(-n // SCORE_BLOCK_ALIGN)  # aligned runs of rows; the last may be short
+        count = -(-units * SCORE_BLOCK_ALIGN // self._block_rows())
+        bounds = [min(n, SCORE_BLOCK_ALIGN * (units * i // count)) for i in range(count + 1)]
         with eg.no_grad():
-            _, a, b = self.attention_weights(self._embeddings(idx))
-        return a.data.copy(), b.data.copy()
+            return [score(idx[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+    def _block_rows(self) -> int:
+        """The most rows, a multiple of SCORE_BLOCK_ALIGN, whose widest
+        intermediate fits in SCORE_BLOCK_BYTES: the (B,C,k) cross channels
+        of a deep variant, fm's (B,f,k) embeddings, lr's (B,1) logits."""
+        if self.layout is not None:
+            width = self.layout.num_channels * self.config.embedding_dim
+        elif self.config.variant == "fm":
+            width = self.num_fields * self.config.embedding_dim
+        else:
+            width = 1
+        rows = SCORE_BLOCK_BYTES // (width * self.params.dtype.itemsize)
+        return max(SCORE_BLOCK_ALIGN, rows - rows % SCORE_BLOCK_ALIGN)
 

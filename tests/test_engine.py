@@ -2,6 +2,8 @@
 finite differences, plus init, dropout, stores and checkpoint round-trips."""
 
 import math
+import re
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -461,6 +463,71 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(CheckpointError):
             eg.load_checkpoint(path)
+
+    @staticmethod
+    def saved(tmp_path):
+        """A float32 checkpoint.  Its first record spans bytes 20-166: name
+        length 20-24, name 24-34, rank 34-38, shape 38-54, values 54-166."""
+        ps = eg.ParameterStore(np.float32)
+        ps.register("embed/user", randn(7, 4))
+        ps.register("dnn/b0", randn(1, 3))
+        path = tmp_path / "model.ckpt"
+        eg.save_checkpoint(path, ps)
+        return path, ps
+
+    @pytest.mark.parametrize("cut", [10, 22, 30, 36, 44, 60, 131, 170, 190, -1])
+    def test_truncated_file_names_the_path(self, tmp_path, cut):
+        path, _ = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CheckpointError, match=f"truncated checkpoint {re.escape(str(path))}"):
+            eg.load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims,message", [
+        ((2**63, 4), "truncated checkpoint .*: the values of 'embed/user' runs past the end"),
+        ((0, 2**63), r"bad shape \(0, 9223372036854775808\) of 'embed/user' in checkpoint"),
+    ])
+    def test_bad_shape_names_the_path(self, tmp_path, dims, message):
+        path, _ = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[38:54] = struct.pack("<2Q", *dims)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=message):
+            eg.load_checkpoint(path)
+
+    def test_name_not_utf8_names_the_path(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[24] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"not UTF-8 in checkpoint {re.escape(str(path))}"):
+            eg.load_checkpoint(path)
+
+    def test_repeated_name_names_the_path(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        blob = path.read_bytes()
+        first = blob[20:166]
+        path.write_bytes(blob[:8] + struct.pack("<III", 1, 1, 3) + first + blob[20:])
+        message = f"'embed/user' appears twice in checkpoint {re.escape(str(path))}"
+        with pytest.raises(CheckpointError, match=message):
+            eg.load_checkpoint(path)
+
+    def test_trailing_bytes_name_the_path(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match=f"trailing bytes in checkpoint {re.escape(str(path))}"):
+            eg.load_checkpoint(path)
+
+    def test_failed_load_leaves_the_store_unchanged(self, tmp_path):
+        path, ps = self.saved(tmp_path)
+        before = ps.state_arrays()
+        for _, t in ps.items():
+            t.data = t.data + 1
+        path.write_bytes(path.read_bytes()[:-1])  # the last record is cut
+        changed = ps.state_arrays()
+        with pytest.raises(CheckpointError):
+            eg.load_checkpoint_into(path, ps)
+        for name, t in ps.items():
+            assert t.data.tobytes() == changed[name].tobytes() != before[name].tobytes()
 
 
 class TestFiniteDifferenceCheck:

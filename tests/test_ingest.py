@@ -31,6 +31,10 @@ class TestBuildVocabulary:
         with pytest.raises(DataError, match="row 2"):
             ingest.build_vocabulary([["a", "b"], ["a"]], ["f0", "f1"])
 
+    def test_duplicate_field_name_rejected(self):
+        with pytest.raises(DataError, match="duplicate field name 'f'"):
+            ingest.build_vocabulary([["a", "b"]], ["f", "f"])
+
     def test_round_trip_in_vocabulary(self):
         rows = [["a", "x"], ["b", "y"], ["c", "x"]]
         vocab = ingest.build_vocabulary(rows, ["f0", "f1"])
@@ -129,6 +133,46 @@ class TestBucketize:
     def test_all_unparsable(self):
         assert ingest.bucketize_numeric(["a", "b"], 2) == ["nan", "nan"]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.integers(-3, 3).map(str)
+            | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+            | st.sampled_from(["nan", "inf", "-inf", "x", "", " 1 ", "1e3", "1_0"]),
+            max_size=40,
+        ),
+        st.integers(2, 6),
+    )
+    def test_matches_the_loop_reference(self, values, num_bins):
+        # few distinct integers put many values exactly on a bin edge
+        assert ingest.bucketize_numeric(values, num_bins) == bucketize_reference(values, num_bins)
+
+    def test_values_on_an_edge(self):
+        values = ["1", "1", "2", "2", "3", "3", "nan", "x"]
+        assert ingest.bucketize_numeric(values, 2) == bucketize_reference(values, 2)
+        assert ingest.bucketize_numeric(values, 2) == ["b0", "b0", "b1", "b1", "b1", "b1", "nan", "nan"]
+
+
+def bucketize_reference(values, num_bins):
+    """The one-value-at-a-time loop ``bucketize_numeric`` replaced."""
+    parsed = np.full(len(values), np.nan)
+    for i, v in enumerate(values):
+        try:
+            parsed[i] = float(v)
+        except ValueError:
+            pass
+    finite = parsed[np.isfinite(parsed)]
+    if finite.size == 0:
+        return ["nan"] * len(values)
+    edges = np.unique(np.quantile(finite, np.linspace(0, 1, num_bins + 1)[1:-1]))
+    out = []
+    for x in parsed:
+        if not np.isfinite(x):
+            out.append("nan")
+        else:
+            out.append(f"b{int(np.searchsorted(edges, x, side='right'))}")
+    return out
+
 
 class TestEncodeTable:
     HEADER = ["user", "item", "age", "rating"]
@@ -179,6 +223,10 @@ class TestEncodeTable:
         rows = [row[:3] + [label] for row, label in zip(self.ROWS, ["1", "inf", "x", "2"])]
         with pytest.raises(DataError, match="row 3: non-finite"):
             ingest.encode_table(rows, self.HEADER, "rating", ["user"], threshold=6)
+
+    def test_duplicate_field_column_rejected(self):
+        with pytest.raises(DataError, match="duplicate field name 'user'"):
+            ingest.encode_table(self.ROWS, self.HEADER, "rating", ["user", "item", "user"], 6)
 
     def test_ragged_row_names_line(self):
         rows = [self.ROWS[0], self.ROWS[1][:3], self.ROWS[2]]
@@ -233,6 +281,25 @@ class TestReadTable:
         path.write_text("label,f0\n\n")
         with pytest.raises(DataError, match=r"raw.csv: empty dataset"):
             ingest.read_table(path)
+
+    @pytest.mark.parametrize("text,line,width", [
+        # a blank line and a quoted field spanning two lines come first
+        ('label,a\n1,x\n\n"2\n",y\n3\n', 6, 1),
+        ('label,a\n1,x\n"2\n",y,z\n3,w\n', 3, 3),
+        ("label,a\n1,x\n2,y,\n", 3, 3),
+    ])
+    def test_ragged_record_names_file_and_line(self, tmp_path, text, line, width):
+        path = tmp_path / "raw.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(
+            DataError, match=rf"raw.csv:{line}: ragged record: {width} columns, expected 2$"
+        ):
+            ingest.read_table(path)
+
+    def test_records_spanning_lines_and_blank_lines_read(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text('label,a\n1,x\n\n"2\n",y\n', newline="")
+        assert ingest.read_table(path) == (["label", "a"], [["1", "x"], ["2\n", "y"]])
 
 
 class TestFileRoundTrips:
@@ -330,6 +397,14 @@ class TestVocabularyFile:
         with pytest.raises(DataError, match=rf"vocab.tsv:{bad_line}: "):
             ingest.Vocabulary.load(path, ["f"])
 
+    def test_duplicate_field_names_rejected(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        ingest.build_vocabulary([["a"]], ["f"]).save(path)
+        with pytest.raises(DataError, match=r"vocab.tsv: duplicate field name 'f'"):
+            ingest.Vocabulary.load(path, ["f", "f"])
+        with pytest.raises(DataError, match="duplicate field name 'f'"):
+            ingest.Vocabulary([ingest.FieldSchema("f", i, 2) for i in range(2)], [{"a": 1}, {"a": 1}])
+
     def test_save_refuses_indices_load_would_reject(self, tmp_path):
         vocab = ingest.Vocabulary([ingest.FieldSchema("f", 0, 3)], [{"a": 1, "b": 3}])
         with pytest.raises(DataError, match="not 1..2"):
@@ -425,6 +500,7 @@ class TestFieldsFile:
         (["0\tf0\t4", "0\tf1\t3"], 3, "field_index 0 out of order, expected 1"),
         (["0\tf0\t4", "1\tf1\t99"], 3, "field 'f1' has cardinality 99, but vocab.tsv gives 3"),
         (["0\tf\\q0\t4", "1\tf1\t3"], 2, "unknown escape"),
+        (["0\tf0\t4", "1\tf0\t4"], 3, "duplicate field name 'f0'"),
     ])
     def test_bad_rows_name_file_and_line(self, tmp_path, rows, bad_line, message):
         self.prepared(tmp_path)

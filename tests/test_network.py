@@ -1,7 +1,8 @@
 """Model variants: gradients of every variant against finite differences,
 table gradients against a dense scatter, each deep variant's forward
-against a plain-numpy restatement of the padded-branch formula, label
-checks in the loss, and ModelConfig validation."""
+against a plain-numpy restatement of the padded-branch formula, scoring in
+row blocks against one whole-batch pass, label checks in the loss, and
+ModelConfig validation."""
 
 import tracemalloc
 from itertools import combinations
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from fiinet import engine as eg
+from fiinet import network
 from fiinet.errors import ConfigError, DataError, ShapeError
 from fiinet.ingest import FieldSchema
 from fiinet.network import VARIANTS, CtrModel, ModelConfig
@@ -185,6 +187,64 @@ def test_deep_variants_cross_orders_and_attention(variant, pairs, triples, atten
     else:
         with pytest.raises(ShapeError, match="no attention weights"):
             model.batch_attention(x)
+
+
+def count_blocks(monkeypatch, model, name, blocks):
+    """Record the rows of every block passed to ``model.<name>``."""
+    real = getattr(model, name)
+
+    def counted(block):
+        blocks.append(len(getattr(block, "data", block)))
+        return real(block)
+
+    monkeypatch.setattr(model, name, counted)
+
+
+@pytest.mark.parametrize("n", [1000, 6000])
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_scoring_in_blocks_equals_one_whole_batch(variant, precision, n, monkeypatch):
+    model = small_model(variant, precision)
+    x, _ = batch(n=n, seed=5)
+    with eg.no_grad():
+        whole = model.forward(x).data.astype(np.float64)
+    # a budget small enough that every variant's rows span several blocks
+    monkeypatch.setattr(network, "SCORE_BLOCK_BYTES", 1024)
+    blocks = []
+    count_blocks(monkeypatch, model, "forward", blocks)
+    assert model.predict_proba(x).tobytes() == whole.tobytes()
+    assert len(blocks) > 1 and sum(blocks) == n
+    if model.sk_params is None:
+        return
+    blocks.clear()
+    count_blocks(monkeypatch, model, "attention_weights", blocks)
+    a, b = model.batch_attention(x)
+    assert len(blocks) > 1
+    monkeypatch.setattr(network, "SCORE_BLOCK_BYTES", 2**40)
+    blocks.clear()
+    whole_a, whole_b = model.batch_attention(x)
+    assert blocks == [n]
+    assert a.tobytes() == whole_a.tobytes() and b.tobytes() == whole_b.tobytes()
+
+
+@pytest.mark.parametrize("variant,fields,row_bytes", [
+    ("fiinet", 10, 165 * 32 * 4), ("fiinet", 20, 1330 * 32 * 4), ("fm", 10, 10 * 32 * 4),
+])
+def test_blocks_fit_the_widest_intermediate(variant, fields, row_bytes, monkeypatch):
+    schemas = [FieldSchema(f"f{i}", i, 3) for i in range(fields)]
+    model = CtrModel(schemas, ModelConfig(variant=variant, embedding_dim=32, hidden_sizes=(2,)))
+    blocks = []
+    monkeypatch.setattr(
+        model, "forward", lambda block: blocks.append(len(block)) or eg.Tensor(np.zeros(len(block)))
+    )
+    n = 30_000
+    model.predict_proba(np.zeros((n, fields), dtype=np.int64))
+    align = network.SCORE_BLOCK_ALIGN
+    most = network.SCORE_BLOCK_BYTES // row_bytes // align * align
+    # as few blocks as the budget allows, near-equal, each start aligned
+    assert sum(blocks) == n and len(blocks) == -(-n // most)
+    assert max(blocks) <= most and max(blocks) - min(blocks) <= align
+    assert all(rows % align == 0 for rows in blocks[:-1])
 
 
 @pytest.mark.parametrize("labels", [[0, 1, 7], [0, 1, -1], [0.5, 1, 0]])
