@@ -77,9 +77,9 @@ class Tensor:
         Leaf tensors with requires_grad set accumulate (+=) into the gradient
         arrays they own, so parameter grads must be zeroed per minibatch; a
         leaf with no gradient yet gets a copy of the first one to arrive.
-        A row-sparse gradient from ``gather_rows`` is scattered straight
-        into a leaf's own dense gradient (zeros first if it has none), so
-        no (V,k) table is built for a leaf.
+        A row-sparse gradient from ``gather_rows`` or ``gather_fields`` is
+        scattered straight into a leaf's own dense gradient (zeros first if
+        it has none), so no (V,k) table is built for a leaf.
         An interior node stores the first gradient to reach it as it is,
         which may be a view shared with other nodes, and adds later ones out
         of place, so no gradient array an op returned is ever written; a
@@ -236,11 +236,11 @@ def relu(a: Tensor) -> Tensor:
 
 
 def _sigmoid_values(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so
+    exp never overflows; e = exp(-|z|) is the exponential of both halves."""
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1, e)
+    out /= 1 + e
     return out
 
 
@@ -288,6 +288,38 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
         )
     out = table.data[idx]
     return _make(out, (table,), lambda g: (_RowGrad(idx, g),), "gather_rows")
+
+
+def gather_fields(tables: list[Tensor], indices: np.ndarray) -> Tensor:
+    """Row ``indices[b, i]`` of table i, for f (V_i,k) tables: (B,f) -> (B,f,k).
+
+    The same values as ``stack_fields`` over f ``gather_rows`` calls, as
+    one tape node.  Backward hands each table its gradient row-sparse, as
+    ``gather_rows`` does.
+    """
+    if not tables:
+        raise ShapeError("gather_fields needs at least one table")
+    first = tables[0].data
+    for t in tables:
+        if t.data.ndim != 2 or t.data.shape[1] != first.shape[1] or t.data.dtype != first.dtype:
+            raise ShapeError("gather_fields: tables must be 2-D and share one width and dtype")
+    idx = np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError("gather_fields indices must be integers")
+    if idx.ndim != 2 or idx.shape[1] != len(tables):
+        raise ShapeError(f"gather_fields: indices {idx.shape} do not fit {len(tables)} tables")
+    rows = np.array([t.data.shape[0] for t in tables])
+    if (idx < 0).any() or (idx >= rows).any():
+        raise ShapeError("gather_fields: index out of range for its table")
+    out = np.empty((idx.shape[0], len(tables), first.shape[1]), dtype=first.dtype)
+    for i, t in enumerate(tables):
+        # mode="raise" would copy through a buffer; the indices are checked
+        t.data.take(idx[:, i], axis=0, out=out[:, i], mode="clip")
+
+    def backward(g):
+        return tuple(_RowGrad(idx[:, i], g[:, i]) for i in range(len(tables)))
+
+    return _make(out, tuple(tables), backward, "gather_fields")
 
 
 def stack_fields(tensors: list[Tensor]) -> Tensor:
@@ -506,10 +538,14 @@ def sum_lastdim(x: Tensor) -> Tensor:
 
 
 def sum_fields(x: Tensor) -> Tensor:
-    """Sum over the field axis: (B,f,k) -> (B,k)."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"sum_fields expects (B,f,k), got {x.data.shape}")
-    out = x.data.sum(axis=1)
+    """Sum over the field axis: (B,f,k) -> (B,k), as the left fold
+    ((x_0 + x_1) + x_2) + ...  numpy's own sum is not one on (B,f,1) once
+    f >= 8: it adds pairwise there."""
+    if x.data.ndim != 3 or x.data.shape[1] == 0:
+        raise ShapeError(f"sum_fields expects (B,f,k) with f >= 1, got {x.data.shape}")
+    out = x.data[:, 0].copy()
+    for i in range(1, x.data.shape[1]):
+        out += x.data[:, i]
     return _make(
         out, (x,), lambda g: (np.broadcast_to(g[:, None, :], x.data.shape),),
         "sum_fields",
@@ -517,7 +553,7 @@ def sum_fields(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != x.data.size:
+    if math.prod(shape) != x.data.size:
         raise ShapeError(f"reshape: cannot view {x.data.shape} as {shape}")
     old = x.data.shape
     return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),), "reshape")
@@ -600,7 +636,6 @@ class ParameterStore:
         if name in self._params:
             raise ShapeError(f"parameter '{name}' registered twice")
         t = Tensor(np.ascontiguousarray(data, dtype=self.dtype), requires_grad=True)
-        t.zero_grad()
         self._params[name] = t
         self._decay[name] = decay
         return t

@@ -107,29 +107,34 @@ class Vocabulary:
         maps: dict[str, dict[str, int]] = {name: {} for name in field_names}
         # field names as save escapes them, so each line is looked up as read
         by_text = {name.translate(_ESCAPES): maps[name] for name in field_names}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                try:
-                    name, value, idx = line.rstrip("\n").split("\t")
-                except ValueError:
-                    if line == "\n":
-                        continue
-                    raise DataError(f"{path}:{lineno}: malformed vocabulary line") from None
-                if "\\" in value:
-                    value = _unescape(value, path, lineno)
-                try:
-                    m = by_text[name]
-                    m[value] = index = int(idx)
-                except KeyError:
-                    raise DataError(f"{path}:{lineno}: unknown field '{name}'") from None
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: index {idx!r} is not an integer") from None
-                if index != len(m):
-                    raise DataError(
-                        f"{path}:{lineno}: field '{name}' value {value!r} has index {index}; "
-                        "each field's values must take the indices 1, 2, 3, ... in order, "
-                        "each value once"
-                    )
+        try:
+            with open(path, encoding="utf-8") as f:
+                for lineno, line in enumerate(f, 1):
+                    try:
+                        name, value, idx = line.rstrip("\n").split("\t")
+                    except ValueError:
+                        if line == "\n":
+                            continue
+                        raise DataError(f"{path}:{lineno}: malformed vocabulary line") from None
+                    if "\\" in value:
+                        value = _unescape(value, path, lineno)
+                    try:
+                        m = by_text[name]
+                        m[value] = index = int(idx)
+                    except KeyError:
+                        raise DataError(f"{path}:{lineno}: unknown field '{name}'") from None
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{lineno}: index {idx!r} is not an integer"
+                        ) from None
+                    if index != len(m):
+                        raise DataError(
+                            f"{path}:{lineno}: field '{name}' value {value!r} has index {index}; "
+                            "each field's values must take the indices 1, 2, 3, ... in order, "
+                            "each value once"
+                        )
+        except UnicodeDecodeError:
+            raise _not_utf8_error(path) from None
         schemas = [
             FieldSchema(name, i, len(maps[name]) + 1) for i, name in enumerate(field_names)
         ]
@@ -159,6 +164,24 @@ def _unescape(value: str, path, lineno: int) -> str:
             ) from None
 
     return _ESCAPE_SEQUENCE.sub(replace, value)
+
+
+# the characters errors="surrogateescape" decodes undecodable bytes to
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _not_utf8_error(path, newline: str | None = None) -> DataError:
+    """The error for the first line of a text file that is not UTF-8, with
+    lines split as ``open(path, newline=newline)`` splits them."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as f:
+        for lineno, line in enumerate(f, 1):
+            bad = _UNDECODABLE.search(line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                return DataError(
+                    f"{path}:{lineno}: byte {byte:#04x} at column {bad.start() + 1} is not UTF-8"
+                )
+    return DataError(f"{path}: not UTF-8")
 
 
 def build_vocabulary(rows: list[list[str]], field_names: list[str]) -> Vocabulary:
@@ -260,13 +283,16 @@ def split_dataset(
 def read_table(path) -> tuple[list[str], list[list[str]]]:
     """Comma-separated text with a header row.  Blank lines are skipped;
     every other record must have as many columns as the header."""
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            reader = csv.reader(f)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError:
+        raise _not_utf8_error(path, newline="") from None
     if not rows:
         raise DataError(f"{path}: empty dataset")
     if set(map(len, rows)) - {len(header)}:
@@ -358,8 +384,11 @@ def read_split_file(path, num_fields: int) -> EncodedDataset:
     Blank lines are skipped; every other line must hold 1+num_fields
     integers.
     """
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError:
+        raise _not_utf8_error(path) from None
     lines = text.split("\n")
     width = num_fields + 1
     counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
@@ -421,26 +450,30 @@ def _read_fields(path) -> list[tuple[int, str, int]]:
     """(line number, field name, cardinality) per row of a fields.tsv that
     ``write_prepared`` wrote: a header, then field_index 0, 1, 2, ... in order."""
     fields = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if lineno == 1 or line == "\n":
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected 3 tab-separated columns "
-                    f"(field_index, field_name, cardinality), got {len(parts)}"
-                )
-            index = _int_column(parts[0], "field_index", path, lineno)
-            cardinality = _int_column(parts[2], "cardinality", path, lineno)
-            if index != len(fields):
-                raise DataError(
-                    f"{path}:{lineno}: field_index {index} out of order, expected {len(fields)}"
-                )
-            name = _unescape(parts[1], path, lineno) if "\\" in parts[1] else parts[1]
-            if any(name == seen for _, seen, _ in fields):
-                raise DataError(f"{path}:{lineno}: duplicate field name {name!r}")
-            fields.append((lineno, name, cardinality))
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                if lineno == 1 or line == "\n":
+                    continue
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != 3:
+                    raise DataError(
+                        f"{path}:{lineno}: expected 3 tab-separated columns "
+                        f"(field_index, field_name, cardinality), got {len(parts)}"
+                    )
+                index = _int_column(parts[0], "field_index", path, lineno)
+                cardinality = _int_column(parts[2], "cardinality", path, lineno)
+                if index != len(fields):
+                    raise DataError(
+                        f"{path}:{lineno}: field_index {index} out of order, "
+                        f"expected {len(fields)}"
+                    )
+                name = _unescape(parts[1], path, lineno) if "\\" in parts[1] else parts[1]
+                if any(name == seen for _, seen, _ in fields):
+                    raise DataError(f"{path}:{lineno}: duplicate field name {name!r}")
+                fields.append((lineno, name, cardinality))
+    except UnicodeDecodeError:
+        raise _not_utf8_error(path) from None
     if not fields:
         raise DataError(f"{path}: no fields")
     return fields

@@ -122,6 +122,7 @@ class CtrModel:
         self.schemas = schemas
         self.config = config
         self.num_fields = len(schemas)
+        self._cardinalities = np.array([s.cardinality for s in schemas])
         self.params = eg.ParameterStore(config.dtype())
         self.layout: ChannelLayout | None = None
         self.sk_params: sk.SkParams | None = None
@@ -192,25 +193,22 @@ class CtrModel:
             raise ShapeError(
                 f"expected indices of shape (B,{self.num_fields}), got {idx.shape}"
             )
-        for s in self.schemas:
-            col = idx[:, s.field_index]
-            if col.size and (col.min() < 0 or col.max() >= s.cardinality):
-                raise DataError(
-                    f"index out of vocabulary range for field '{s.field_name}'"
-                )
+        if (idx < 0).any() or (idx >= self._cardinalities).any():
+            # rescan field by field only to name the first bad one
+            for i, s in enumerate(self.schemas):
+                col = idx[:, i]
+                if col.min() < 0 or col.max() >= s.cardinality:
+                    raise DataError(
+                        f"index out of vocabulary range for field '{s.field_name}'"
+                    )
         return idx
 
     def _linear_logit(self, idx: np.ndarray) -> eg.Tensor:
-        z = eg.gather_rows(self._linear_tables[0], idx[:, 0])
-        for i in range(1, self.num_fields):
-            z = eg.add(z, eg.gather_rows(self._linear_tables[i], idx[:, i]))
-        return eg.add_rowvec(z, self._bias)
+        weights = eg.gather_fields(self._linear_tables, idx)
+        return eg.add_rowvec(eg.sum_fields(weights), self._bias)
 
     def _embeddings(self, idx: np.ndarray) -> eg.Tensor:
-        cols = [
-            eg.gather_rows(tab, idx[:, i]) for i, tab in enumerate(self._embed_tables)
-        ]
-        return eg.stack_fields(cols)
+        return eg.gather_fields(self._embed_tables, idx)
 
     def _dnn(self, x: eg.Tensor, training: bool, rng) -> eg.Tensor:
         h = x

@@ -8,6 +8,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fiinet import engine as eg
 from fiinet.errors import CheckpointError, NonFiniteError, ShapeError
@@ -117,6 +120,17 @@ class TestPrimitiveGradients:
         # a table that is itself computed gets the dense (V,k) gradient
         idx = np.array([[0, 2], [2, 2], [1, 0]])
         check_op(lambda ts: eg.gather_rows(eg.mul(ts[0], ts[1]), idx), [randn(3, 4), randn(3, 4)])
+
+    def test_gather_fields(self):
+        idx = np.array([[0, 1], [2, 1], [2, 0], [0, 1]])
+        check_op(lambda ts: eg.gather_fields(list(ts), idx), [randn(3, 4), randn(2, 4)])
+
+    def test_gather_fields_interior_table(self):
+        idx = np.array([[0, 1], [2, 1], [2, 0]])
+        check_op(
+            lambda ts: eg.gather_fields([eg.mul(ts[0], ts[1]), ts[2]], idx),
+            [randn(3, 4), randn(3, 4), randn(2, 4)],
+        )
 
     def test_stack_fields(self):
         check_op(
@@ -346,6 +360,73 @@ class TestRowSparseGradients:
         assert table.grad is None and np.array_equal(w.grad, np.ones((2, 2)))
 
 
+class TestGatherFields:
+    """gather_fields is stack_fields over one gather_rows per table, as one op."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_stacked_gather_rows_bitwise(self, dtype):
+        idx = np.array([[3, 0, 1], [5, 3, 1], [3, 3, 0], [0, 2, 1]])  # every column repeats
+        datas = [randn(6, 4).astype(dtype), randn(4, 4).astype(dtype), randn(2, 4).astype(dtype)]
+        w = eg.Tensor(randn(4, 3, 4).astype(dtype))
+
+        def run(gather):
+            tables = [eg.Tensor(d.copy(), requires_grad=True) for d in datas]
+            out = gather(tables)
+            eg.sum_all(eg.mul(out, w)).backward()
+            return out.data, [t.grad for t in tables]
+
+        fused, fused_grads = run(lambda ts: eg.gather_fields(ts, idx))
+        stacked, stacked_grads = run(
+            lambda ts: eg.stack_fields([eg.gather_rows(t, idx[:, i]) for i, t in enumerate(ts)])
+        )
+        assert fused.dtype == dtype and fused.tobytes() == stacked.tobytes()
+        for got, want in zip(fused_grads, stacked_grads):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tables,indices,message", [
+        ([np.zeros((3, 2)), np.zeros((2, 2))], [[0, -1]], "out of range"),
+        ([np.zeros((3, 2)), np.zeros((2, 2))], [[2, 2]], "out of range"),  # 2 fits only table 0
+        ([np.zeros((3, 2)), np.zeros((2, 2))], [[0.0, 1.0]], "must be integers"),
+        ([np.zeros((3, 2)), np.zeros((2, 3))], [[0, 1]], "share one width and dtype"),
+        ([np.zeros((3, 2)), np.zeros((2, 2), np.float32)], [[0, 1]], "share one width and dtype"),
+        ([np.zeros((3, 2)), np.zeros((2, 2))], [[0, 1, 1]], "do not fit 2 tables"),
+        ([], [[0]], "at least one table"),
+    ])
+    def test_rejects_bad_input(self, tables, indices, message):
+        with pytest.raises(ShapeError, match=message):
+            eg.gather_fields([eg.Tensor(t) for t in tables], np.array(indices))
+
+
+def test_sum_fields_is_a_left_fold():
+    # numpy adds (B,f,1) along f pairwise once f >= 8, which rounds differently
+    x = randn(1000, 10, 1).astype(np.float32) * 1e3
+    want = x[:, 0]
+    for i in range(1, 10):
+        want = want + x[:, i]
+    assert eg.sum_fields(eg.Tensor(x)).data.tobytes() == want.tobytes()
+
+
+def masked_sigmoid_reference(z):
+    """The logistic function split by a sign mask, as the engine once had it."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([32, 64]).flatmap(lambda width: arrays(
+    np.float32 if width == 32 else np.float64, st.integers(0, 100),
+    elements=st.floats(allow_nan=False, width=width))))
+@example(np.array([0.0, -0.0, 1e-310, 36.0, -36.0, 710.0, -750.0, np.inf, -np.inf]))
+@example(np.array([0.0, -0.0, 1e-40, 17.0, -17.0, 89.0, -104.0, np.inf, -np.inf], np.float32))
+def test_sigmoid_values_match_the_masked_formula_bitwise(z):
+    got = eg._sigmoid_values(z)
+    assert got.dtype == z.dtype and got.tobytes() == masked_sigmoid_reference(z).tobytes()
+
+
 class TestXavierInit:
     def test_bound_formula(self):
         w = eg.xavier_init((3, 3), seed=0, dtype=np.float64)
@@ -404,7 +485,7 @@ class TestStores:
         ps = eg.ParameterStore(np.float64)
         t = ps.register("w", np.ones((2, 2)))
         assert "w" in ps and len(ps) == 1
-        assert np.array_equal(t.grad, np.zeros((2, 2)))
+        assert t.grad is None
         eg.sum_all(eg.mul(t, t)).backward()
         assert not np.array_equal(t.grad, np.zeros((2, 2)))
         ps.zero_grad()

@@ -296,6 +296,12 @@ class TestReadTable:
         ):
             ingest.read_table(path)
 
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(b"label,a\n1,x\n0,y\xff\n")
+        with pytest.raises(DataError, match=r"raw.csv:3: byte 0xff at column 4 is not UTF-8"):
+            ingest.read_table(path)
+
     def test_records_spanning_lines_and_blank_lines_read(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text('label,a\n1,x\n\n"2\n",y\n', newline="")
@@ -397,6 +403,12 @@ class TestVocabularyFile:
         with pytest.raises(DataError, match=rf"vocab.tsv:{bad_line}: "):
             ingest.Vocabulary.load(path, ["f"])
 
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(b"f\ta\t1\nf\t\xff\t2\n")
+        with pytest.raises(DataError, match=r"vocab.tsv:2: byte 0xff at column 3 is not UTF-8"):
+            ingest.Vocabulary.load(path, ["f"])
+
     def test_duplicate_field_names_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         ingest.build_vocabulary([["a"]], ["f"]).save(path)
@@ -455,6 +467,12 @@ class TestSplitFileValidation:
         back = ingest.read_split_file(path, 2)
         assert back.indices.tolist() == [[1, 2], [3, 4]] and back.labels.tolist() == [0, 1]
 
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "train.txt"
+        path.write_bytes(b"0 1 2\n1 \xff 2\n")
+        with pytest.raises(DataError, match=r"train.txt:2: byte 0xff at column 3 is not UTF-8"):
+            ingest.read_split_file(path, 2)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "train.txt"
         path.write_text("")
@@ -508,6 +526,14 @@ class TestFieldsFile:
             "field_index\tfield_name\tcardinality\n" + "\n".join(rows) + "\n"
         )
         with pytest.raises(DataError, match=rf"fields.tsv:{bad_line}: {message}"):
+            ingest.load_prepared(tmp_path)
+
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        self.prepared(tmp_path)
+        (tmp_path / "fields.tsv").write_bytes(
+            b"field_index\tfield_name\tcardinality\n0\tf\xff0\t4\n1\tf1\t3\n"
+        )
+        with pytest.raises(DataError, match=r"fields.tsv:2: byte 0xff at column 4 is not UTF-8"):
             ingest.load_prepared(tmp_path)
 
     def test_no_fields(self, tmp_path):

@@ -53,23 +53,24 @@ def test_variant_gradients_pass_fd_check(variant):
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_table_gradients_equal_a_dense_scatter(variant, precision, monkeypatch):
-    # record the gradient reaching each gather, then redo its scatter-add
-    # into a dense zero table with plain numpy
+    # record the gradient reaching each table of a gather, then redo its
+    # scatter-add into a dense zero table with plain numpy
     gathers = []
-    real = eg.gather_rows
+    real = eg.gather_fields
 
-    def recording(table, indices):
-        out = real(table, indices)
+    def recording(tables, indices):
+        out = real(tables, indices)
         backward = out._backward
 
         def spy(g):
-            gathers.append((table, np.asarray(indices), g.copy()))
+            idx = np.asarray(indices)
+            gathers.extend((t, idx[:, i], g[:, i].copy()) for i, t in enumerate(tables))
             return backward(g)
 
         out._backward = spy
         return out
 
-    monkeypatch.setattr(eg, "gather_rows", recording)
+    monkeypatch.setattr(eg, "gather_fields", recording)
     model = small_model(variant, precision=precision)
     x, y = batch(n=40)  # 40 rows over 6 values: every column repeats
     model.params.zero_grad()
@@ -82,6 +83,21 @@ def test_table_gradients_equal_a_dense_scatter(variant, precision, monkeypatch):
         np.add.at(want, idx, g)
         assert len(np.unique(idx)) < len(idx)
         assert table.grad.tobytes() == want.tobytes(), tables[id(table)]
+
+
+def test_fiinet_forward_records_29_tape_nodes_at_10_fields():
+    # two gathers (one per table family), sum_fields and add_rowvec for the
+    # linear part, and 25 nodes for the crosses, attention, DNN and output
+    schemas = [FieldSchema(f"f{i}", i, 5) for i in range(10)]
+    model = CtrModel(schemas, ModelConfig(embedding_dim=4, hidden_sizes=(8, 4)))
+    out = model.forward(np.zeros((3, 10), dtype=np.int64))
+    nodes, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and id(node) not in nodes:
+            nodes.add(id(node))
+            stack.extend(node._parents)
+    assert len(nodes) == 29
 
 
 def test_backward_memory_does_not_grow_with_vocabulary():
