@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 import re
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -234,8 +236,8 @@ def bucketize_numeric(values: list[str], num_bins: int) -> list[str]:
 
     Unparsable and non-finite entries get their own 'nan' token.
     """
-    if num_bins < 2:
-        raise DataError(f"need at least 2 bins, got {num_bins}")
+    if not isinstance(num_bins, (int, np.integer)) or num_bins < 2:
+        raise DataError(f"need at least 2 bins, got {num_bins!r}")
     parsed = np.fromiter(map(_float_or_nan, values), np.float64, len(values))
     finite = np.isfinite(parsed)
     if not finite.any():
@@ -334,6 +336,7 @@ def encode_table(
     table = _columns(rows, len(header), 2)  # header was line 1
 
     columns = {name: table[col_of[name]] for name in field_columns}
+    _require_unique(numeric_fields or [], "numeric fields: ")
     for name in numeric_fields or []:
         if name not in columns:
             raise DataError(f"numeric field '{name}' is not a field column")
@@ -371,66 +374,54 @@ def _label_error(raw_labels) -> DataError:
 
 
 def write_split_file(path, dataset: EncodedDataset) -> None:
-    """One example per line: label then the field indices, space-separated."""
-    table = np.column_stack((dataset.labels, dataset.indices))
-    line = " ".join(["%d"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
+    """Save the examples as one (N, 1+f) int64 table, ``[label | indices]``,
+    in numpy's .npy format."""
+    table = np.column_stack((dataset.labels, dataset.indices)).astype(np.int64, copy=False)
+    with open(path, "wb") as f:
+        np.save(f, table, allow_pickle=False)
 
 
 def read_split_file(path, num_fields: int) -> EncodedDataset:
-    """Read a file ``write_split_file`` wrote: labels in {0,1}, indices >= 0.
+    """Read a file ``write_split_file`` wrote: an int64 table of 1+num_fields
+    columns, labels in {0,1}, indices >= 0.  Errors count rows from 0.
 
-    Blank lines are skipped; every other line must hold 1+num_fields
-    integers.
+    The header's shape is checked against the file's size before the table
+    is allocated, so a corrupt row count fails here, not in the allocator.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError:
-        raise _not_utf8_error(path) from None
-    lines = text.split("\n")
-    width = num_fields + 1
-    counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
-    example_lines = np.flatnonzero(counts)  # blank lines hold no example
-    table = None
-    if (counts[example_lines] == width).all():
-        tokens = text.split()
-        # int() once per distinct token, then one lookup per token
-        distinct = dict.fromkeys(tokens)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         try:
-            value_of = dict(zip(distinct, map(int, distinct)))
-            table = np.fromiter(map(value_of.__getitem__, tokens), np.int64, len(tokens))
-        except (ValueError, OverflowError):
-            pass
-    if table is None:
-        raise _split_line_error(path, lines, width)
-    table = table.reshape(len(example_lines), width)
+            version = np.lib.format.read_magic(f)
+            if version != (1, 0):  # what np.save writes for such a table
+                raise ValueError(f"format version {version}, expected (1, 0)")
+            shape, _, dtype = np.lib.format.read_array_header_1_0(f)
+        # numpy parses the header as a Python literal; a corrupt one can
+        # fail in the tokenizer or the parser as well as in numpy's checks
+        except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
+            raise DataError(f"{path}: not a .npy file: {exc}") from None
+        if dtype != np.int64 or len(shape) != 2 or shape[1] != num_fields + 1:
+            raise DataError(
+                f"{path}: expected an int64 table of 1+{num_fields} columns, "
+                f"got {dtype} of shape {shape}"
+            )
+        nbytes = math.prod(shape) * dtype.itemsize
+        if size - f.tell() != nbytes:
+            raise DataError(
+                f"{path}: the header gives {shape[0]} rows ({nbytes} bytes), "
+                f"but {size - f.tell()} bytes follow it"
+            )
+        f.seek(0)
+        table = np.load(f, allow_pickle=False)
     bad = (table[:, 0] > 1) | (table.min(axis=1) < 0)
     if bad.any():
         row = int(bad.argmax())
         label = int(table[row, 0])
         problem = f"label {label} is not 0 or 1" if label not in (0, 1) else "negative field index"
-        raise DataError(f"{path}:{example_lines[row] + 1}: {problem}")
+        raise DataError(f"{path}: row {row}: {problem}")
     return EncodedDataset(table[:, 1:].copy(), table[:, 0].copy())
 
 
-def _split_line_error(path, lines: list[str], width: int) -> DataError:
-    """The error for the first line of a split file that is not blank and
-    not ``width`` int64 integers."""
-    for lineno, line in enumerate(lines, 1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != width:
-            return DataError(f"{path}:{lineno}: expected 1+{width - 1} integers")
-        try:
-            np.array(list(map(int, parts)), dtype=np.int64)
-        except ValueError:
-            return DataError(f"{path}:{lineno}: non-integer token in {line.strip()!r}")
-        except OverflowError:
-            return DataError(f"{path}:{lineno}: integer out of int64 range in {line.strip()!r}")
-    return DataError(f"{path}: malformed split file")
+SPLIT_FILES = ("train.npy", "valid.npy", "test.npy")
 
 
 def write_prepared(out_dir, vocab: Vocabulary, split: DatasetSplit) -> None:
@@ -441,9 +432,8 @@ def write_prepared(out_dir, vocab: Vocabulary, split: DatasetSplit) -> None:
         for s in vocab.schemas:
             f.write(f"{s.field_index}\t{s.field_name.translate(_ESCAPES)}\t{s.cardinality}\n")
     vocab.save(out / "vocab.tsv")
-    write_split_file(out / "train.txt", split.train)
-    write_split_file(out / "valid.txt", split.valid)
-    write_split_file(out / "test.txt", split.test)
+    for name, part in zip(SPLIT_FILES, (split.train, split.valid, split.test)):
+        write_split_file(out / name, part)
 
 
 def _read_fields(path) -> list[tuple[int, str, int]]:
@@ -488,9 +478,10 @@ def _int_column(text: str, column: str, path, lineno: int) -> int:
 
 def load_prepared(data_dir) -> tuple[Vocabulary, DatasetSplit]:
     data = Path(data_dir)
+    for name in ("fields.tsv", "vocab.tsv", *SPLIT_FILES):
+        if not (data / name).is_file():
+            raise DataError(f"no prepared data at {data}: missing {name}")
     fields_path = data / "fields.tsv"
-    if not fields_path.exists():
-        raise DataError(f"no prepared data at {data}: missing fields.tsv")
     fields = _read_fields(fields_path)
     vocab = Vocabulary.load(data / "vocab.tsv", [name for _, name, _ in fields])
     for (lineno, name, cardinality), schema in zip(fields, vocab.schemas):
@@ -499,11 +490,8 @@ def load_prepared(data_dir) -> tuple[Vocabulary, DatasetSplit]:
                 f"{fields_path}:{lineno}: field '{name}' has cardinality {cardinality}, "
                 f"but vocab.tsv gives {schema.cardinality}"
             )
-    f = vocab.num_fields
     split = DatasetSplit(
-        train=read_split_file(data / "train.txt", f),
-        valid=read_split_file(data / "valid.txt", f),
-        test=read_split_file(data / "test.txt", f),
+        *(read_split_file(data / name, vocab.num_fields) for name in SPLIT_FILES)
     )
     for part in (split.train, split.valid, split.test):
         for s in vocab.schemas:

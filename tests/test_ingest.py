@@ -1,5 +1,7 @@
 """Vocabulary build, label thresholds, splits, file round-trips."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,11 @@ class TestBucketize:
         # few distinct integers put many values exactly on a bin edge
         assert ingest.bucketize_numeric(values, num_bins) == bucketize_reference(values, num_bins)
 
+    @pytest.mark.parametrize("num_bins", [1, 2.5, 2.0, "3", None])
+    def test_bins_must_be_an_int_of_at_least_2(self, num_bins):
+        with pytest.raises(DataError, match=f"need at least 2 bins, got {num_bins!r}"):
+            ingest.bucketize_numeric(["1", "2", "3"], num_bins)
+
     def test_values_on_an_edge(self):
         values = ["1", "1", "2", "2", "3", "3", "nan", "x"]
         assert ingest.bucketize_numeric(values, 2) == bucketize_reference(values, 2)
@@ -207,6 +214,13 @@ class TestEncodeTable:
         )
         age_values = set(vocab.maps[1])
         assert age_values <= {"b0", "b1"}
+
+    def test_repeated_numeric_field_rejected(self):
+        with pytest.raises(DataError, match="numeric fields: duplicate field name 'age'"):
+            ingest.encode_table(
+                self.ROWS, self.HEADER, "rating", ["user", "age"], threshold=6,
+                numeric_fields=["age", "age"], numeric_bins=2,
+            )
 
     @pytest.mark.parametrize("bad,message", [
         ("inf", "row 4: non-finite label score inf"),
@@ -319,10 +333,12 @@ class TestFileRoundTrips:
 
     def test_split_file_format(self, tmp_path):
         ds = ingest.EncodedDataset(np.array([[1, 2], [3, 0]]), np.array([1, 0]))
-        path = tmp_path / "train.txt"
+        path = tmp_path / "train.npy"
         ingest.write_split_file(path, ds)
-        assert path.read_text() == "1 1 2\n0 3 0\n"
+        table = np.load(path, allow_pickle=False)
+        assert table.dtype == np.int64 and table.tolist() == [[1, 1, 2], [0, 3, 0]]
         back = ingest.read_split_file(path, 2)
+        assert back.indices.dtype == np.int64 and back.labels.dtype == np.int64
         assert np.array_equal(back.indices, ds.indices)
         assert np.array_equal(back.labels, ds.labels)
 
@@ -353,13 +369,29 @@ class TestFileRoundTrips:
             ingest.write_prepared(tmp_path / d, vocab, split)
             blobs.append(
                 b"".join((tmp_path / d / n).read_bytes() for n in
-                         ["fields.tsv", "vocab.tsv", "train.txt", "valid.txt", "test.txt"])
+                         ["fields.tsv", "vocab.tsv", "train.npy", "valid.npy", "test.npy"])
             )
         assert blobs[0] == blobs[1]
 
     def test_load_missing_dir(self, tmp_path):
         with pytest.raises(DataError, match="fields.tsv"):
             ingest.load_prepared(tmp_path / "nope")
+
+    @pytest.mark.parametrize("name", ["fields.tsv", "vocab.tsv", "train.npy", "valid.npy", "test.npy"])
+    def test_load_names_the_missing_file(self, tmp_path, name):
+        TestFieldsFile.prepared(tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(DataError, match=rf"no prepared data at .*: missing {name}$"):
+            ingest.load_prepared(tmp_path)
+
+    def test_load_text_splits_names_the_first_missing_file(self, tmp_path):
+        # the earlier layout: the same splits as space-separated text
+        TestFieldsFile.prepared(tmp_path)
+        for name in ingest.SPLIT_FILES:
+            (tmp_path / name).unlink()
+            (tmp_path / name).with_suffix(".txt").write_text("1 1 1\n")
+        with pytest.raises(DataError, match="missing train.npy$"):
+            ingest.load_prepared(tmp_path)
 
 
 class TestVocabularyFile:
@@ -431,65 +463,130 @@ class TestVocabularyFile:
         assert loaded.maps == vocab.maps
 
 
+def write_npy(path, array) -> None:
+    with open(path, "wb") as f:
+        np.save(f, np.asarray(array), allow_pickle=False)
+
+
 class TestSplitFileValidation:
     @pytest.mark.parametrize("second,message", [
-        ("1 x 2", "non-integer token"),
         ("7 1 2", "label 7 is not 0 or 1"),
         ("-1 1 2", "label -1 is not 0 or 1"),
         ("1 -3 2", "negative field index"),
-        ("1 1", r"expected 1\+2 integers"),
-        (f"1 {2**63} 2", "integer out of int64 range"),
     ])
     def test_bad_second_line_names_file_and_line(self, tmp_path, second, message):
-        path = tmp_path / "train.txt"
-        path.write_text("0 1 2\n" + second + "\n")
-        with pytest.raises(DataError, match=rf"train.txt:2: {message}"):
-            ingest.read_split_file(path, 2)
-
-    def test_every_line_is_counted_not_just_the_total(self, tmp_path):
-        path = tmp_path / "train.txt"
-        path.write_text("0 1 2\n\n1 1\n0 1 2 3\n1 2 2\n")
-        with pytest.raises(DataError, match=r"train.txt:3: expected 1\+2 integers"):
+        path = tmp_path / "train.npy"
+        write_npy(path, [[0, 1, 2], [int(v) for v in second.split()]])
+        with pytest.raises(DataError, match=rf"train.npy: row 1: {message}$"):
             ingest.read_split_file(path, 2)
 
     def test_first_bad_line_is_named(self, tmp_path):
-        path = tmp_path / "train.txt"
-        path.write_text("0 1 2\n1 x 2\n1 1\n")
-        with pytest.raises(DataError, match="train.txt:2: non-integer token"):
-            ingest.read_split_file(path, 2)
-
-    def test_blank_lines_skipped_and_counted(self, tmp_path):
-        path = tmp_path / "train.txt"
-        path.write_text("\n0 1 2\n \t\n1 3 4\n\n0 -1 0\n")
-        with pytest.raises(DataError, match="train.txt:6: negative field index"):
-            ingest.read_split_file(path, 2)
-        path.write_text("\n0 1 2\n \t\n1 3 4\n\n")
-        back = ingest.read_split_file(path, 2)
-        assert back.indices.tolist() == [[1, 2], [3, 4]] and back.labels.tolist() == [0, 1]
-
-    def test_not_utf8_names_file_and_line(self, tmp_path):
-        path = tmp_path / "train.txt"
-        path.write_bytes(b"0 1 2\n1 \xff 2\n")
-        with pytest.raises(DataError, match=r"train.txt:2: byte 0xff at column 3 is not UTF-8"):
+        path = tmp_path / "train.npy"
+        write_npy(path, [[0, 1, 2], [1, 1, 2], [1, -1, 2], [7, 1, 2]])
+        with pytest.raises(DataError, match="train.npy: row 2: negative field index$"):
             ingest.read_split_file(path, 2)
 
     def test_empty_file(self, tmp_path):
-        path = tmp_path / "train.txt"
-        path.write_text("")
+        # a split with no examples is a 0-row table
+        path = tmp_path / "train.npy"
+        ingest.write_split_file(
+            path, ingest.EncodedDataset(np.zeros((0, 3), np.int64), np.zeros(0, np.int64))
+        )
         back = ingest.read_split_file(path, 3)
         assert back.indices.shape == (0, 3) and back.indices.dtype == np.int64
         assert back.labels.shape == (0,) and back.labels.dtype == np.int64
+
+    @pytest.mark.parametrize("content,message", [
+        (b"", "not a .npy file: EOF"),
+        (b"0 1 2\n1 3 4\n", "not a .npy file: the magic string is not correct"),
+        (b"\x93NUMPY\x02\x00", r"not a .npy file: format version \(2, 0\)"),
+    ], ids=["empty", "text", "version 2"])
+    def test_not_npy_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "train.npy"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=rf"train.npy: {message}"):
+            ingest.read_split_file(path, 2)
+
+    @pytest.mark.parametrize("header", [
+        b"{'descr': '<i8', 'fortran_order': False, 'shape': (2, 3, }",
+        b"{'descr': '<08', 'fortran_order': False, 'shape': (2, 3), }",
+        b"{'descr': '<i8', 'fortran_order': False, b'shape': (2, 3), }",
+        b"{'descr': '<i8', 'fortran_order': False}",
+        b"{'descr': '<i8', 'fortran_order': False, 'shape': (2.0, 3), }",
+    ], ids=["tokenizer", "parser", "mixed keys", "missing key", "float shape"])
+    def test_corrupt_header_names_the_file(self, tmp_path, header):
+        path = tmp_path / "train.npy"
+        header = header.ljust(117) + b"\n"
+        path.write_bytes(
+            b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header + bytes(48)
+        )
+        with pytest.raises(DataError, match="train.npy: not a .npy file"):
+            ingest.read_split_file(path, 2)
+
+    @pytest.mark.parametrize("table,got", [
+        (np.array([[0, 1, 2]], dtype=object), r"object of shape \(1, 3\)"),
+        (np.array([[0.0, 1.0, 2.0]]), r"float64 of shape \(1, 3\)"),
+        (np.array([[0, 1, 2]], dtype=np.int32), r"int32 of shape \(1, 3\)"),
+        (np.array([0, 1, 2]), r"int64 of shape \(3,\)"),
+        (np.zeros((1, 2, 3), np.int64), r"int64 of shape \(1, 2, 3\)"),
+        (np.zeros((2, 4), np.int64), r"int64 of shape \(2, 4\)"),
+    ], ids=["object", "float", "int32", "1-d", "3-d", "too wide"])
+    def test_wrong_dtype_or_shape_names_the_file(self, tmp_path, table, got):
+        path = tmp_path / "train.npy"
+        with open(path, "wb") as f:
+            np.save(f, table, allow_pickle=True)
+        with pytest.raises(
+            DataError, match=rf"train.npy: expected an int64 table of 1\+2 columns, got {got}$"
+        ):
+            ingest.read_split_file(path, 2)
+
+    def test_every_line_is_counted_not_just_the_total(self, tmp_path):
+        # as many values as a (2, 3) table, two to a row
+        path = tmp_path / "train.npy"
+        write_npy(path, np.zeros((3, 2), np.int64))
+        with pytest.raises(DataError, match=r"train.npy: expected an int64 table of 1\+2 columns"):
+            ingest.read_split_file(path, 2)
+
+    def test_truncated_file_names_the_file(self, tmp_path):
+        path = tmp_path / "train.npy"
+        write_npy(path, np.ones((4, 3), np.int64))
+        whole = path.read_bytes()
+        header = len(whole) - 4 * 3 * 8
+        for cut in (5, header - 1):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(DataError, match="train.npy: not a .npy file: EOF"):
+                ingest.read_split_file(path, 2)
+        path.write_bytes(whole[:-8])
+        with pytest.raises(
+            DataError, match=r"train.npy: the header gives 4 rows \(96 bytes\), but 88 bytes follow it$"
+        ):
+            ingest.read_split_file(path, 2)
+        path.write_bytes(whole + b"\0")
+        with pytest.raises(DataError, match="but 97 bytes follow it$"):
+            ingest.read_split_file(path, 2)
+
+    def test_huge_row_count_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "train.npy"
+        with open(path, "wb") as f:
+            np.lib.format.write_array_header_1_0(f, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(np.int64)),
+                "fortran_order": False,
+                "shape": (10**13, 3),
+            })
+            f.write(np.ones((4, 3), np.int64).tobytes())
+        with pytest.raises(DataError, match=r"train.npy: the header gives 10000000000000 rows"):
+            ingest.read_split_file(path, 2)
 
     def test_load_prepared_rejects_out_of_range_indices(self, tmp_path):
         rows = [["a", "x"], ["b", "y"], ["c", "x"], ["a", "y"], ["b", "x"]]
         vocab = ingest.build_vocabulary(rows, ["f0", "f1"])
         ds = ingest.EncodedDataset(np.stack([vocab.encode_row(r) for r in rows]), np.array([1, 0, 1, 0, 1]))
         ingest.write_prepared(tmp_path, vocab, ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=5))
-        (tmp_path / "test.txt").write_text("1 0 9\n")
+        write_npy(tmp_path / "test.npy", [[1, 0, 9]])
         with pytest.raises(DataError, match="index out of range for field 'f1'"):
             ingest.load_prepared(tmp_path)
-        (tmp_path / "test.txt").write_text("1 0 0\n0 -1 0\n")
-        with pytest.raises(DataError, match="test.txt:2: negative field index"):
+        write_npy(tmp_path / "test.npy", [[1, 0, 0], [0, -1, 0]])
+        with pytest.raises(DataError, match="test.npy: row 1: negative field index"):
             ingest.load_prepared(tmp_path)
 
 
