@@ -630,14 +630,12 @@ class ParameterStore:
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
         self._params: dict[str, Tensor] = {}
-        self._decay: dict[str, bool] = {}
 
-    def register(self, name: str, data: np.ndarray, decay: bool = True) -> Tensor:
+    def register(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ShapeError(f"parameter '{name}' registered twice")
         t = Tensor(np.ascontiguousarray(data, dtype=self.dtype), requires_grad=True)
         self._params[name] = t
-        self._decay[name] = decay
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -654,9 +652,6 @@ class ParameterStore:
 
     def items(self):
         return self._params.items()
-
-    def decays(self, name: str) -> bool:
-        return self._decay[name]
 
     def zero_grad(self) -> None:
         for t in self._params.values():

@@ -57,15 +57,31 @@ class DatasetSplit:
 
 
 class Vocabulary:
-    """Per-field value-to-index maps; encoding of unseen values never errors."""
+    """Per-field value-to-index maps; encoding of unseen values never errors.
+
+    A value's index is its position in its field's map: each map takes the
+    indices 1, 2, 3, ... in insertion order, and 0 is the out-of-vocabulary
+    slot.
+    """
 
     def __init__(self, schemas: list[FieldSchema], maps: list[dict[str, int]]):
         _require_unique([s.field_name for s in schemas])
+        if len(schemas) != len(maps):
+            raise DataError(f"{len(schemas)} field schemas but {len(maps)} vocabulary maps")
+        for schema, mapping in zip(schemas, maps):
+            n = len(mapping)
+            if not np.array_equal(np.fromiter(mapping.values(), np.int64, n), np.arange(1, n + 1)):
+                raise DataError(
+                    f"field '{schema.field_name}': indices are not 1..{n} in insertion order"
+                )
+            if schema.cardinality != n + 1:
+                raise DataError(
+                    f"field '{schema.field_name}' has cardinality {schema.cardinality}, "
+                    f"but {n} values"
+                )
         self.schemas = schemas
         self.maps = maps
-        self._inverse = [
-            {idx: val for val, idx in m.items()} for m in maps
-        ]
+        self._values = [list(m) for m in maps]
 
     @property
     def num_fields(self) -> int:
@@ -73,7 +89,8 @@ class Vocabulary:
 
     def decode_value(self, field: int, index: int) -> str | None:
         """Inverse of encode_row for in-vocabulary indices; OOV decodes to None."""
-        return self._inverse[field].get(index)
+        values = self._values[field]
+        return values[index - 1] if 0 < index <= len(values) else None
 
     def encode_row(self, row: list[str]) -> np.ndarray:
         if len(row) != self.num_fields:
@@ -83,7 +100,8 @@ class Vocabulary:
         )
 
     def save(self, path) -> None:
-        """One line per entry, in index order: field_name TAB value TAB index.
+        """For each field: a line ``field_name TAB count``, then its ``count``
+        values, one a line, in index order.
 
         Backslash, tab, newline and carriage return in a field name or a
         value are written as the escapes \\\\, \\t, \\n and \\r, so any
@@ -91,56 +109,82 @@ class Vocabulary:
         """
         with open(path, "w", encoding="utf-8") as f:
             for schema, mapping in zip(self.schemas, self.maps):
-                name = schema.field_name.translate(_ESCAPES)
-                entries = sorted(mapping.items(), key=lambda kv: kv[1])
-                for expected, (value, idx) in enumerate(entries, 1):
-                    if idx != expected:
-                        raise DataError(
-                            f"field '{schema.field_name}': vocabulary indices are not "
-                            f"1..{len(entries)} (found {idx} where {expected} belongs)"
-                        )
-                    f.write(f"{name}\t{value.translate(_ESCAPES)}\t{idx}\n")
+                f.write(f"{schema.field_name.translate(_ESCAPES)}\t{len(mapping)}\n")
+                f.writelines(value.translate(_ESCAPES) + "\n" for value in mapping)
 
     @classmethod
     def load(cls, path, field_names: list[str]) -> "Vocabulary":
-        """Read a file ``save`` wrote.  Each field's values must take the
-        indices 1, 2, 3, ... in file order, each value once."""
+        """Read a file ``save`` wrote; its fields must be ``field_names``."""
         _require_unique(field_names, f"{path}: ")
-        maps: dict[str, dict[str, int]] = {name: {} for name in field_names}
-        # field names as save escapes them, so each line is looked up as read
-        by_text = {name.translate(_ESCAPES): maps[name] for name in field_names}
-        try:
-            with open(path, encoding="utf-8") as f:
-                for lineno, line in enumerate(f, 1):
-                    try:
-                        name, value, idx = line.rstrip("\n").split("\t")
-                    except ValueError:
-                        if line == "\n":
-                            continue
-                        raise DataError(f"{path}:{lineno}: malformed vocabulary line") from None
-                    if "\\" in value:
-                        value = _unescape(value, path, lineno)
-                    try:
-                        m = by_text[name]
-                        m[value] = index = int(idx)
-                    except KeyError:
-                        raise DataError(f"{path}:{lineno}: unknown field '{name}'") from None
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{lineno}: index {idx!r} is not an integer"
-                        ) from None
-                    if index != len(m):
-                        raise DataError(
-                            f"{path}:{lineno}: field '{name}' value {value!r} has index {index}; "
-                            "each field's values must take the indices 1, 2, 3, ... in order, "
-                            "each value once"
-                        )
-        except UnicodeDecodeError:
-            raise _not_utf8_error(path) from None
-        schemas = [
-            FieldSchema(name, i, len(maps[name]) + 1) for i, name in enumerate(field_names)
-        ]
-        return cls(schemas, [maps[name] for name in field_names])
+        names, maps = _read_vocabulary(path)
+        if names != list(field_names):
+            raise DataError(f"{path}: holds the fields {names}, expected {list(field_names)}")
+        return _vocabulary(names, maps)
+
+
+def _vocabulary(field_names: list[str], maps: list[dict[str, int]]) -> Vocabulary:
+    schemas = [
+        FieldSchema(name, i, len(m) + 1) for i, (name, m) in enumerate(zip(field_names, maps))
+    ]
+    return Vocabulary(schemas, maps)
+
+
+# a field's header line in vocab.tsv: the escaped name, a tab, the value count
+_FIELD_HEADER = re.compile(r"([^\t]*)\t([1-9][0-9]*)")
+
+
+def _read_vocabulary(path) -> tuple[list[str], list[dict[str, int]]]:
+    """The field names and value-to-index maps of a file ``Vocabulary.save``
+    wrote.  Lines are numbered from 1 in errors."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError:
+        raise _not_utf8_error(path) from None
+    escaped = "\\" in text
+    # not str.splitlines, which also ends a line at characters a value holds
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":
+        lines.pop()
+    names, maps = [], []
+    at = 0  # index of the next header in lines
+    while at < len(lines):
+        lineno = at + 1
+        header = _FIELD_HEADER.fullmatch(lines[at])
+        if header is None:
+            raise DataError(
+                f"{path}:{lineno}: expected a field header 'name<TAB>count' "
+                f"with a positive count, got {lines[at]!r}"
+            )
+        name, count = header.group(1), int(header.group(2))
+        if "\\" in name:
+            name = _unescape(name, path, lineno)
+        if name in names:
+            raise DataError(f"{path}:{lineno}: duplicate field name {name!r}")
+        values = lines[at + 1 : at + 1 + count]
+        if len(values) < count:
+            raise DataError(
+                f"{path}:{lineno}: field '{name}' has {len(values)} of its {count} values"
+            )
+        if escaped:
+            values = [
+                _unescape(v, path, n) if "\\" in v else v
+                for n, v in enumerate(values, lineno + 1)
+            ]
+        mapping = dict(zip(values, range(1, count + 1)))
+        if len(mapping) < count:  # name the second line of the first repeat
+            seen = set()
+            lineno, value = next(
+                (n, v) for n, v in enumerate(values, lineno + 1) if v in seen or seen.add(v)
+            )
+            raise DataError(f"{path}:{lineno}: field '{name}' repeats the value {value!r}")
+        names.append(name)
+        maps.append(mapping)
+        at += 1 + count
+    if not names:
+        raise DataError(f"{path}: no fields")
+    return names, maps
 
 
 def _require_unique(field_names: list[str], where: str = "") -> None:
@@ -215,10 +259,7 @@ def _first_appearance(columns: list, field_names: list[str]) -> Vocabulary:
     for column in columns:
         values = dict.fromkeys(column)
         maps.append(dict(zip(values, range(1, len(values) + 1))))
-    schemas = [
-        FieldSchema(name, i, len(m) + 1) for i, (name, m) in enumerate(zip(field_names, maps))
-    ]
-    return Vocabulary(schemas, maps)
+    return _vocabulary(field_names, maps)
 
 
 def binarize_label(scores, threshold: float) -> np.ndarray:
@@ -427,77 +468,27 @@ SPLIT_FILES = ("train.npy", "valid.npy", "test.npy")
 def write_prepared(out_dir, vocab: Vocabulary, split: DatasetSplit) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "fields.tsv", "w", encoding="utf-8") as f:
-        f.write("field_index\tfield_name\tcardinality\n")
-        for s in vocab.schemas:
-            f.write(f"{s.field_index}\t{s.field_name.translate(_ESCAPES)}\t{s.cardinality}\n")
     vocab.save(out / "vocab.tsv")
     for name, part in zip(SPLIT_FILES, (split.train, split.valid, split.test)):
         write_split_file(out / name, part)
 
 
-def _read_fields(path) -> list[tuple[int, str, int]]:
-    """(line number, field name, cardinality) per row of a fields.tsv that
-    ``write_prepared`` wrote: a header, then field_index 0, 1, 2, ... in order."""
-    fields = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                if lineno == 1 or line == "\n":
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 3:
-                    raise DataError(
-                        f"{path}:{lineno}: expected 3 tab-separated columns "
-                        f"(field_index, field_name, cardinality), got {len(parts)}"
-                    )
-                index = _int_column(parts[0], "field_index", path, lineno)
-                cardinality = _int_column(parts[2], "cardinality", path, lineno)
-                if index != len(fields):
-                    raise DataError(
-                        f"{path}:{lineno}: field_index {index} out of order, "
-                        f"expected {len(fields)}"
-                    )
-                name = _unescape(parts[1], path, lineno) if "\\" in parts[1] else parts[1]
-                if any(name == seen for _, seen, _ in fields):
-                    raise DataError(f"{path}:{lineno}: duplicate field name {name!r}")
-                fields.append((lineno, name, cardinality))
-    except UnicodeDecodeError:
-        raise _not_utf8_error(path) from None
-    if not fields:
-        raise DataError(f"{path}: no fields")
-    return fields
-
-
-def _int_column(text: str, column: str, path, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: {column} {text!r} is not an integer") from None
-
-
 def load_prepared(data_dir) -> tuple[Vocabulary, DatasetSplit]:
     data = Path(data_dir)
-    for name in ("fields.tsv", "vocab.tsv", *SPLIT_FILES):
+    for name in ("vocab.tsv", *SPLIT_FILES):
         if not (data / name).is_file():
             raise DataError(f"no prepared data at {data}: missing {name}")
-    fields_path = data / "fields.tsv"
-    fields = _read_fields(fields_path)
-    vocab = Vocabulary.load(data / "vocab.tsv", [name for _, name, _ in fields])
-    for (lineno, name, cardinality), schema in zip(fields, vocab.schemas):
-        if cardinality != schema.cardinality:
+    vocab = _vocabulary(*_read_vocabulary(data / "vocab.tsv"))
+    cardinalities = np.array([s.cardinality for s in vocab.schemas])
+    parts = []
+    for name in SPLIT_FILES:
+        part = read_split_file(data / name, vocab.num_fields)
+        beyond = part.indices >= cardinalities  # read_split_file rejects negatives
+        if beyond.any():
+            row, field = divmod(int(beyond.argmax()), vocab.num_fields)
             raise DataError(
-                f"{fields_path}:{lineno}: field '{name}' has cardinality {cardinality}, "
-                f"but vocab.tsv gives {schema.cardinality}"
+                f"{data / name}: row {row}: index {part.indices[row, field]} "
+                f"out of range for field '{vocab.schemas[field].field_name}'"
             )
-    split = DatasetSplit(
-        *(read_split_file(data / name, vocab.num_fields) for name in SPLIT_FILES)
-    )
-    for part in (split.train, split.valid, split.test):
-        for s in vocab.schemas:
-            col = part.indices[:, s.field_index]
-            if col.size and (col.min() < 0 or col.max() >= s.cardinality):
-                raise DataError(
-                    f"index out of range for field '{s.field_name}' in {data}"
-                )
-    return vocab, split
+        parts.append(part)
+    return vocab, DatasetSplit(*parts)

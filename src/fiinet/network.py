@@ -144,7 +144,7 @@ class CtrModel:
                     eg.xavier_init((s.cardinality, 1), seed, f"linear/{s.field_name}", dtype),
                 )
             )
-        self._bias = self.params.register("linear/bias", np.zeros(1), decay=False)
+        self._bias = self.params.register("linear/bias", np.zeros(1))
 
         if cfg.variant == "lr":
             return
@@ -174,13 +174,13 @@ class CtrModel:
             w = self.params.register(
                 f"dnn/w{li}", eg.xavier_init((h, width), seed, f"dnn/w{li}", dtype)
             )
-            b = self.params.register(f"dnn/b{li}", np.zeros(h), decay=False)
+            b = self.params.register(f"dnn/b{li}", np.zeros(h))
             self._dnn_layers.append((w, b))
             width = h
         head_w = self.params.register(
             "dnn/head_w", eg.xavier_init((1, width), seed, "dnn/head_w", dtype)
         )
-        head_b = self.params.register("dnn/head_b", np.zeros(1), decay=False)
+        head_b = self.params.register("dnn/head_b", np.zeros(1))
         self._dnn_head = (head_w, head_b)
 
     # -- forward pieces ------------------------------------------------

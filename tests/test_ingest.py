@@ -1,5 +1,6 @@
 """Vocabulary build, label thresholds, splits, file round-trips."""
 
+import re
 import struct
 
 import numpy as np
@@ -327,7 +328,7 @@ class TestFileRoundTrips:
         vocab = ingest.build_vocabulary([["A", "x"], ["B", "y"]], ["f0", "f1"])
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
-        assert "f0\tA\t1" in path.read_text().splitlines()
+        assert path.read_text() == "f0\t2\nA\nB\nf1\t2\nx\ny\n"
         loaded = ingest.Vocabulary.load(path, ["f0", "f1"])
         assert loaded.maps == vocab.maps
 
@@ -369,15 +370,15 @@ class TestFileRoundTrips:
             ingest.write_prepared(tmp_path / d, vocab, split)
             blobs.append(
                 b"".join((tmp_path / d / n).read_bytes() for n in
-                         ["fields.tsv", "vocab.tsv", "train.npy", "valid.npy", "test.npy"])
+                         ["vocab.tsv", "train.npy", "valid.npy", "test.npy"])
             )
         assert blobs[0] == blobs[1]
 
     def test_load_missing_dir(self, tmp_path):
-        with pytest.raises(DataError, match="fields.tsv"):
+        with pytest.raises(DataError, match="missing vocab.tsv$"):
             ingest.load_prepared(tmp_path / "nope")
 
-    @pytest.mark.parametrize("name", ["fields.tsv", "vocab.tsv", "train.npy", "valid.npy", "test.npy"])
+    @pytest.mark.parametrize("name", ["vocab.tsv", "train.npy", "valid.npy", "test.npy"])
     def test_load_names_the_missing_file(self, tmp_path, name):
         TestFieldsFile.prepared(tmp_path)
         (tmp_path / name).unlink()
@@ -412,34 +413,46 @@ class TestVocabularyFile:
         vocab = ingest.build_vocabulary([["x\ty"], ["a\\nb"], ["l1\nl2\r"]], ["f"])
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
-        assert path.read_text().splitlines() == [
-            "f\tx\\ty\t1", "f\ta\\\\nb\t2", "f\tl1\\nl2\\r\t3",
-        ]
+        assert path.read_bytes().decode() == "f\t3\nx\\ty\na\\\\nb\nl1\\nl2\\r\n"
 
     def test_unknown_escape_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text("f\ta\\q\t1\n")
-        with pytest.raises(DataError, match=r"vocab.tsv:1: unknown escape"):
+        path.write_text("f\t1\na\\q\n")
+        with pytest.raises(DataError, match=r"vocab.tsv:2: unknown escape"):
             ingest.Vocabulary.load(path, ["f"])
 
-    @pytest.mark.parametrize("lines,bad_line", [
-        (["f\ta\t1", "f\tb\t1"], 2),  # repeated index
-        (["f\ta\t1", "f\tb\t3"], 2),  # gap
-        (["f\ta\t1", "f\ta\t2"], 2),  # repeated value
-        (["f\ta\t2", "f\tb\t1"], 1),  # out of order
-        (["f\ta\t1", "f\tb\tx"], 2),  # not an integer
-    ])
-    def test_bad_indices_name_file_and_line(self, tmp_path, lines, bad_line):
+    def test_repeated_value_names_its_second_line(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=rf"vocab.tsv:{bad_line}: "):
-            ingest.Vocabulary.load(path, ["f"])
+        path.write_text("f\t4\na\nb\nc\nb\ng\t1\nb\n")
+        with pytest.raises(DataError, match=r"vocab.tsv:5: field 'f' repeats the value 'b'$"):
+            ingest.Vocabulary.load(path, ["f", "g"])
 
     def test_not_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_bytes(b"f\ta\t1\nf\t\xff\t2\n")
-        with pytest.raises(DataError, match=r"vocab.tsv:2: byte 0xff at column 3 is not UTF-8"):
+        path.write_bytes(b"f\t2\na\n\xff\n")
+        with pytest.raises(DataError, match=r"vocab.tsv:3: byte 0xff at column 1 is not UTF-8"):
             ingest.Vocabulary.load(path, ["f"])
+
+    @pytest.mark.parametrize("field_names", [["f"], ["g", "f"], ["f", "g", "h"]])
+    def test_other_field_list_names_the_file(self, tmp_path, field_names):
+        path = tmp_path / "vocab.tsv"
+        ingest.build_vocabulary([["a", "b"]], ["f", "g"]).save(path)
+        with pytest.raises(
+            DataError, match=re.escape(f"vocab.tsv: holds the fields ['f', 'g'], expected {field_names}")
+        ):
+            ingest.Vocabulary.load(path, field_names)
+
+    def test_values_spelled_like_headers_or_empty_round_trip(self, tmp_path):
+        vocab = ingest.build_vocabulary([["f\t3", ""], ["", "g\t1"], ["2", "f"]], ["f", "g"])
+        path = tmp_path / "vocab.tsv"
+        vocab.save(path)
+        loaded = ingest.Vocabulary.load(path, ["f", "g"])
+        assert [list(m.items()) for m in loaded.maps] == [list(m.items()) for m in vocab.maps]
+        assert loaded.schemas == vocab.schemas
+
+    def test_decode_value_outside_the_map_is_none(self):
+        vocab = ingest.build_vocabulary([["a"], ["b"], ["c"]], ["f"])
+        assert [vocab.decode_value(0, i) for i in range(-1, 5)] == [None, None, "a", "b", "c", None]
 
     def test_duplicate_field_names_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
@@ -449,10 +462,21 @@ class TestVocabularyFile:
         with pytest.raises(DataError, match="duplicate field name 'f'"):
             ingest.Vocabulary([ingest.FieldSchema("f", i, 2) for i in range(2)], [{"a": 1}, {"a": 1}])
 
-    def test_save_refuses_indices_load_would_reject(self, tmp_path):
-        vocab = ingest.Vocabulary([ingest.FieldSchema("f", 0, 3)], [{"a": 1, "b": 3}])
-        with pytest.raises(DataError, match="not 1..2"):
-            vocab.save(tmp_path / "vocab.tsv")
+    @pytest.mark.parametrize("mapping", [{"a": 1, "b": 3}, {"b": 2, "a": 1}, {"a": 0, "b": 1}])
+    def test_constructor_refuses_indices_out_of_position(self, mapping):
+        with pytest.raises(DataError, match=r"field 'f': indices are not 1..2 in insertion order$"):
+            ingest.Vocabulary([ingest.FieldSchema("f", 0, 3)], [mapping])
+
+    def test_constructor_refuses_a_cardinality_other_than_values_plus_1(self):
+        with pytest.raises(DataError, match="field 'f' has cardinality 5, but 1 values$"):
+            ingest.Vocabulary([ingest.FieldSchema("f", 0, 5)], [{"a": 1}])
+
+    def test_constructor_refuses_unpaired_schemas_and_maps(self):
+        schemas = [ingest.FieldSchema("f", 0, 2), ingest.FieldSchema("g", 1, 2)]
+        with pytest.raises(DataError, match="2 field schemas but 1 vocabulary maps$"):
+            ingest.Vocabulary(schemas, [{"a": 1}])
+        with pytest.raises(DataError, match="1 field schemas but 2 vocabulary maps$"):
+            ingest.Vocabulary(schemas[:1], [{"a": 1}, {"b": 1}])
 
     def test_prepared_round_trip_with_tab_and_newline(self, tmp_path):
         rows = [["x\ty", "p"], ["a\nb", "q"], ["x\ty", "q"], ["c", "p"], ["a\nb", "p"]]
@@ -582,15 +606,21 @@ class TestSplitFileValidation:
         vocab = ingest.build_vocabulary(rows, ["f0", "f1"])
         ds = ingest.EncodedDataset(np.stack([vocab.encode_row(r) for r in rows]), np.array([1, 0, 1, 0, 1]))
         ingest.write_prepared(tmp_path, vocab, ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=5))
-        write_npy(tmp_path / "test.npy", [[1, 0, 9]])
-        with pytest.raises(DataError, match="index out of range for field 'f1'"):
+        write_npy(tmp_path / "test.npy", [[1, 0, 0], [1, 1, 2], [0, 4, 9]])
+        with pytest.raises(DataError, match=r"test.npy: row 2: index 4 out of range for field 'f0'$"):
             ingest.load_prepared(tmp_path)
         write_npy(tmp_path / "test.npy", [[1, 0, 0], [0, -1, 0]])
         with pytest.raises(DataError, match="test.npy: row 1: negative field index"):
             ingest.load_prepared(tmp_path)
+        write_npy(tmp_path / "test.npy", [[1, 0, 0]])
+        write_npy(tmp_path / "valid.npy", [[1, 0, 0], [0, 1, 3], [0, 9, 0]])
+        with pytest.raises(DataError, match=r"valid.npy: row 1: index 3 out of range for field 'f1'$"):
+            ingest.load_prepared(tmp_path)
 
 
 class TestFieldsFile:
+    """The field list of a prepared directory: the header lines of vocab.tsv."""
+
     @staticmethod
     def prepared(out, field_names=("f0", "f1")):
         rows = [["a", "x"], ["b", "y"], ["c", "x"], ["a", "y"], ["b", "x"]]
@@ -600,43 +630,34 @@ class TestFieldsFile:
         ingest.write_prepared(out, vocab, ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=5))
         return vocab
 
-    def test_written_format(self, tmp_path):
-        self.prepared(tmp_path)
-        assert (tmp_path / "fields.tsv").read_text() == (
-            "field_index\tfield_name\tcardinality\n0\tf0\t4\n1\tf1\t3\n"
-        )
-
     @pytest.mark.parametrize("rows,bad_line,message", [
-        (["0\tf0", "1\tf1\t3"], 2, "expected 3 tab-separated columns"),
-        (["0\tf0\t4", "1\tf\t1\t3"], 3, "expected 3 tab-separated columns"),
-        (["x\tf0\t4", "1\tf1\t3"], 2, "field_index 'x' is not an integer"),
-        (["0\tf0\t4", "1\tf1\tmany"], 3, "cardinality 'many' is not an integer"),
-        (["1\tf0\t4", "0\tf1\t3"], 2, "field_index 1 out of order, expected 0"),
-        (["0\tf0\t4", "0\tf1\t3"], 3, "field_index 0 out of order, expected 1"),
-        (["0\tf0\t4", "1\tf1\t99"], 3, "field 'f1' has cardinality 99, but vocab.tsv gives 3"),
-        (["0\tf\\q0\t4", "1\tf1\t3"], 2, "unknown escape"),
-        (["0\tf0\t4", "1\tf0\t4"], 3, "duplicate field name 'f0'"),
-    ])
+        (["f\\q0\t3", "a", "b", "c", "f1\t2", "x", "y"], 1, "unknown escape"),
+        (["f0\t3", "a", "b", "c", "f0\t2", "x", "y"], 5, "duplicate field name 'f0'"),
+        (["f0 3", "a", "b", "c", "f1\t2", "x", "y"], 1, "expected a field header"),
+        (["f0\tx", "a", "b", "c", "f1\t2", "x", "y"], 1, "expected a field header"),
+        (["f0\t0", "f1\t2", "x", "y"], 1, "expected a field header"),
+        (["f0\t3", "a", "b", "c", "f1\t2", "x"], 5, "field 'f1' has 1 of its 2 values$"),
+        (["f0\t3", "a", "b", "c", "f1\t2", "x", "y", ""], 8, "expected a field header"),
+        (["f0\ta\t1", "f0\tb\t2", "f0\tc\t3", "f1\tx\t1", "f1\ty\t2"], 1,
+         "expected a field header"),
+    ], ids=["unknown-escape", "duplicate-name", "no-tab", "count-x", "count-0", "cut-short",
+            "extra-line", "old-three-column-layout"])
     def test_bad_rows_name_file_and_line(self, tmp_path, rows, bad_line, message):
         self.prepared(tmp_path)
-        (tmp_path / "fields.tsv").write_text(
-            "field_index\tfield_name\tcardinality\n" + "\n".join(rows) + "\n"
-        )
-        with pytest.raises(DataError, match=rf"fields.tsv:{bad_line}: {message}"):
+        (tmp_path / "vocab.tsv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=rf"vocab.tsv:{bad_line}: {message}"):
             ingest.load_prepared(tmp_path)
 
     def test_not_utf8_names_file_and_line(self, tmp_path):
         self.prepared(tmp_path)
-        (tmp_path / "fields.tsv").write_bytes(
-            b"field_index\tfield_name\tcardinality\n0\tf\xff0\t4\n1\tf1\t3\n"
-        )
-        with pytest.raises(DataError, match=r"fields.tsv:2: byte 0xff at column 4 is not UTF-8"):
+        (tmp_path / "vocab.tsv").write_bytes(b"f\xff0\t3\na\nb\nc\nf1\t2\nx\ny\n")
+        with pytest.raises(DataError, match=r"vocab.tsv:1: byte 0xff at column 2 is not UTF-8"):
             ingest.load_prepared(tmp_path)
 
     def test_no_fields(self, tmp_path):
         self.prepared(tmp_path)
-        (tmp_path / "fields.tsv").write_text("")
-        with pytest.raises(DataError, match="fields.tsv: no fields"):
+        (tmp_path / "vocab.tsv").write_text("")
+        with pytest.raises(DataError, match="vocab.tsv: no fields"):
             ingest.load_prepared(tmp_path)
 
     @settings(max_examples=100, deadline=None)
