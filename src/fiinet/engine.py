@@ -63,7 +63,7 @@ class Tensor:
         return self.data.dtype
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
+        return f"{type(self).__name__}(shape={self.shape}, dtype={self.dtype})"
 
     def item(self) -> float:
         return float(self.data)
@@ -624,21 +624,71 @@ def xavier_init(shape: tuple[int, int], seed: int, name: str = "", dtype=np.floa
 # parameter store
 
 
+class Parameter(Tensor):
+    """A learnable leaf whose value ``init`` draws on its first read.
+
+    ``data`` stays unset until something reads it.  Python then calls
+    ``__getattr__``, which runs the zero-argument ``init`` once, casts its
+    result to the store's dtype, checks it against the declared shape and
+    stores it, so every later read finds the slot set.  ``shape`` and
+    ``dtype`` answer from the declaration without drawing, and a value
+    assigned to ``data`` first, as a checkpoint load does, means ``init``
+    never runs.  Each draw depends only on the parameter's own name, shape
+    and seed, so the order of first reads changes no value.
+    """
+
+    __slots__ = ("name", "_shape", "_dtype", "_init")
+
+    def __init__(self, name: str, shape: tuple[int, ...], dtype: np.dtype,
+                 init: Callable[[], np.ndarray]):
+        self.name = name
+        self._shape = shape
+        self._dtype = dtype
+        self._init = init
+        self.grad = None
+        self.requires_grad = True
+        self._parents = ()
+        self._backward = None
+
+    def __getattr__(self, attr: str):
+        # called only when the slot is unset, so never on a drawn parameter
+        if attr != "data":
+            raise AttributeError(f"'Parameter' object has no attribute '{attr}'")
+        value = np.ascontiguousarray(self._init(), dtype=self._dtype)
+        if value.shape != self._shape:
+            raise ShapeError(
+                f"parameter '{self.name}': init gave shape {value.shape}, "
+                f"registered as {self._shape}"
+            )
+        self.data = value
+        return value
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._shape
+
+    @property
+    def dtype(self):
+        return self._dtype
+
+
 class ParameterStore:
     """Registry of every learnable tensor of a model, keyed by unique name."""
 
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
-        self._params: dict[str, Tensor] = {}
+        self._params: dict[str, Parameter] = {}
 
-    def register(self, name: str, data: np.ndarray) -> Tensor:
+    def register(self, name: str, shape: tuple[int, ...],
+                 init: Callable[[], np.ndarray]) -> Parameter:
+        """Declare a parameter; ``init()`` gives its value on first read."""
         if name in self._params:
             raise ShapeError(f"parameter '{name}' registered twice")
-        t = Tensor(np.ascontiguousarray(data, dtype=self.dtype), requires_grad=True)
-        self._params[name] = t
-        return t
+        p = Parameter(name, tuple(int(d) for d in shape), self.dtype, init)
+        self._params[name] = p
+        return p
 
-    def __getitem__(self, name: str) -> Tensor:
+    def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
     def __contains__(self, name: str) -> bool:
@@ -661,19 +711,25 @@ class ParameterStore:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Set every parameter from ``arrays``, which must hold exactly the
+        registered names and shapes.  Nothing is drawn, and on an error no
+        parameter changes."""
         missing = sorted(set(self._params) - set(arrays))
         extra = sorted(set(arrays) - set(self._params))
         if missing or extra:
             raise CheckpointError(
                 f"parameter name mismatch: missing={missing} unexpected={extra}"
             )
+        cast = {}
         for name, arr in arrays.items():
-            t = self._params[name]
-            if arr.shape != t.data.shape:
+            shape = self._params[name].shape
+            if arr.shape != shape:
                 raise CheckpointError(
-                    f"parameter '{name}' shape mismatch: {arr.shape} vs {t.data.shape}"
+                    f"parameter '{name}' shape mismatch: {arr.shape} vs {shape}"
                 )
-            t.data = np.ascontiguousarray(arr, dtype=self.dtype)
+            cast[name] = np.ascontiguousarray(arr, dtype=self.dtype)
+        for name, arr in cast.items():
+            self._params[name].data = arr
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +809,17 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.dtype]:
 
 
 def load_checkpoint_into(path, params: ParameterStore) -> None:
+    """Load a checkpoint into ``params``.  Every error names the path, and
+    a failed load leaves every parameter as it was, drawn or not."""
     arrays, dtype = load_checkpoint(path)
     if dtype != params.dtype:
         raise CheckpointError(
-            f"checkpoint dtype {dtype} does not match store dtype {params.dtype}"
+            f"checkpoint dtype {dtype} does not match store dtype {params.dtype} in {path}"
         )
-    params.load_arrays(arrays)
+    try:
+        params.load_arrays(arrays)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{exc} in checkpoint {path}") from None
 
 
 # ---------------------------------------------------------------------------

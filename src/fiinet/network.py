@@ -134,31 +134,18 @@ class CtrModel:
 
     def _build(self) -> None:
         cfg = self.config
-        seed = cfg.seed
-        dtype = self.params.dtype
-        self._linear_tables = []
-        for s in self.schemas:
-            self._linear_tables.append(
-                self.params.register(
-                    f"linear/{s.field_name}",
-                    eg.xavier_init((s.cardinality, 1), seed, f"linear/{s.field_name}", dtype),
-                )
-            )
-        self._bias = self.params.register("linear/bias", np.zeros(1))
+        self._linear_tables = [
+            self._xavier(f"linear/{s.field_name}", (s.cardinality, 1)) for s in self.schemas
+        ]
+        self._bias = self._zeros("linear/bias", 1)
 
         if cfg.variant == "lr":
             return
 
-        self._embed_tables = []
-        for s in self.schemas:
-            self._embed_tables.append(
-                self.params.register(
-                    f"embed/{s.field_name}",
-                    eg.xavier_init(
-                        (s.cardinality, cfg.embedding_dim), seed, f"embed/{s.field_name}", dtype
-                    ),
-                )
-            )
+        self._embed_tables = [
+            self._xavier(f"embed/{s.field_name}", (s.cardinality, cfg.embedding_dim))
+            for s in self.schemas
+        ]
         if cfg.variant == "fm":
             return
 
@@ -167,25 +154,27 @@ class CtrModel:
         if attention:
             self.sk_params = sk.init_sk_params(
                 self.params, self.layout.num_channels, cfg.reduction_ratio,
-                cfg.min_reduced_dim, seed,
+                cfg.min_reduced_dim, cfg.seed,
             )
         width = self.layout.num_channels * cfg.embedding_dim
         for li, h in enumerate(cfg.hidden_sizes):
-            w = self.params.register(
-                f"dnn/w{li}", eg.xavier_init((h, width), seed, f"dnn/w{li}", dtype)
-            )
-            b = self.params.register(f"dnn/b{li}", np.zeros(h))
-            self._dnn_layers.append((w, b))
+            w = self._xavier(f"dnn/w{li}", (h, width))
+            self._dnn_layers.append((w, self._zeros(f"dnn/b{li}", h)))
             width = h
-        head_w = self.params.register(
-            "dnn/head_w", eg.xavier_init((1, width), seed, "dnn/head_w", dtype)
-        )
-        head_b = self.params.register("dnn/head_b", np.zeros(1))
-        self._dnn_head = (head_w, head_b)
+        self._dnn_head = (self._xavier("dnn/head_w", (1, width)), self._zeros("dnn/head_b", 1))
+
+    def _xavier(self, name: str, shape: tuple[int, int]) -> eg.Parameter:
+        """A parameter drawn by ``xavier_init`` under its own name on first read."""
+        seed, dtype = self.config.seed, self.params.dtype
+        return self.params.register(name, shape, lambda: eg.xavier_init(shape, seed, name, dtype))
+
+    def _zeros(self, name: str, size: int) -> eg.Parameter:
+        return self.params.register(name, (size,), lambda: np.zeros(size))
 
     # -- forward pieces ------------------------------------------------
 
-    def _validate_indices(self, indices: np.ndarray) -> np.ndarray:
+    def _index_rows(self, indices: np.ndarray) -> np.ndarray:
+        """``indices`` as (B,f) rows, one row if 1-D; values unchecked."""
         idx = np.asarray(indices)
         if idx.ndim == 1:
             idx = idx[None, :]
@@ -193,6 +182,10 @@ class CtrModel:
             raise ShapeError(
                 f"expected indices of shape (B,{self.num_fields}), got {idx.shape}"
             )
+        return idx
+
+    def _validate_indices(self, indices: np.ndarray) -> np.ndarray:
+        idx = self._index_rows(indices)
         if (idx < 0).any() or (idx >= self._cardinalities).any():
             # rescan field by field only to name the first bad one
             for i, s in enumerate(self.schemas):
@@ -273,8 +266,11 @@ class CtrModel:
         return eg.sigmoid(eg.reshape(z, (batch,)))
 
     def predict_proba(self, indices: np.ndarray) -> np.ndarray:
-        """Evaluation-mode probabilities, computed off the tape in row blocks."""
-        idx = self._validate_indices(indices)
+        """Evaluation-mode probabilities, computed off the tape in row blocks.
+
+        ``forward`` checks each block's index range, so every row is checked
+        once."""
+        idx = self._index_rows(indices)
         if idx.shape[0] == 0:
             return np.empty(0)
         blocks = self._in_blocks(idx, lambda block: self.forward(block).data)

@@ -54,15 +54,21 @@ def init_sk_params(
 ) -> SkParams:
     """Register the attention parameters.
 
-    The two branch matrices start from the identical Xavier draw so every
-    channel weight is exactly 0.5 before training, which makes before/after
-    weight comparisons well-defined.
+    The two branch matrices are drawn from the same named Xavier stream, so
+    they start bit-equal and every channel weight is exactly 0.5 before
+    training, which makes before/after weight comparisons well-defined.
     """
     d = reduced_dim(num_channels, ratio, min_dim)
-    w1 = store.register("sk/w1", eg.xavier_init((d, num_channels), seed, "sk/w1", store.dtype))
-    ab = eg.xavier_init((num_channels, d), seed, "sk/branches", store.dtype)
-    branch_a = store.register("sk/A", ab)
-    branch_b = store.register("sk/B", ab.copy())
+    dtype = store.dtype
+    w1 = store.register(
+        "sk/w1", (d, num_channels), lambda: eg.xavier_init((d, num_channels), seed, "sk/w1", dtype)
+    )
+
+    def branches():
+        return eg.xavier_init((num_channels, d), seed, "sk/branches", dtype)
+
+    branch_a = store.register("sk/A", (num_channels, d), branches)
+    branch_b = store.register("sk/B", (num_channels, d), branches)
     return SkParams(w1=w1, branch_a=branch_a, branch_b=branch_b)
 
 

@@ -32,6 +32,24 @@ def fd_gradient(loss_fn, arr, eps=1e-6):
     return g
 
 
+class Counted:
+    """A zero-argument init that returns ``arr`` and counts its calls."""
+
+    def __init__(self, arr):
+        self.arr = np.asarray(arr)
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.arr
+
+
+def literal(store, name, arr):
+    """Register an array as it is: its init returns it."""
+    init = Counted(arr)
+    return store.register(name, init.arr.shape, init)
+
+
 def check_op(build, arrays, rtol=1e-6):
     """build(tensors) -> output Tensor; checks each input's gradient."""
     rng = np.random.default_rng(0)
@@ -483,7 +501,7 @@ class TestDropout:
 class TestStores:
     def test_register_and_zero(self):
         ps = eg.ParameterStore(np.float64)
-        t = ps.register("w", np.ones((2, 2)))
+        t = literal(ps, "w", np.ones((2, 2)))
         assert "w" in ps and len(ps) == 1
         assert t.grad is None
         eg.sum_all(eg.mul(t, t)).backward()
@@ -493,14 +511,14 @@ class TestStores:
 
     def test_duplicate_name_rejected(self):
         ps = eg.ParameterStore()
-        ps.register("w", np.ones((1, 1)))
+        literal(ps, "w", np.ones((1, 1)))
         with pytest.raises(ShapeError):
-            ps.register("w", np.ones((1, 1)))
+            literal(ps, "w", np.ones((1, 1)))
 
     def test_gradient_of_unused_parameter_is_zero(self):
         ps = eg.ParameterStore(np.float64)
-        used = ps.register("used", np.ones((2, 2)))
-        unused = ps.register("unused", np.ones((3, 3)))
+        used = literal(ps, "used", np.ones((2, 2)))
+        unused = literal(ps, "unused", np.ones((3, 3)))
         ps.zero_grad()
         eg.sum_all(used).backward()
         assert np.array_equal(unused.grad, np.zeros((3, 3)))
@@ -508,20 +526,71 @@ class TestStores:
 
     def test_load_arrays_congruence(self):
         ps = eg.ParameterStore()
-        ps.register("a", np.zeros((2, 2)))
+        literal(ps, "a", np.zeros((2, 2)))
         with pytest.raises(CheckpointError):
             ps.load_arrays({"b": np.zeros((2, 2))})
         with pytest.raises(CheckpointError):
             ps.load_arrays({"a": np.zeros((3, 2))})
 
 
+class TestParameter:
+    def test_drawn_once_on_first_read_and_cast_to_the_store_dtype(self):
+        ps = eg.ParameterStore(np.float32)
+        init = Counted(randn(3, 2))
+        p = ps.register("w", (3, 2), init)
+        assert init.calls == 0
+        first = p.data
+        assert init.calls == 1 and first.dtype == np.float32
+        assert first.tobytes() == init.arr.astype(np.float32).tobytes()
+        assert p.data is first and init.calls == 1
+
+    def test_shape_dtype_and_repr_do_not_draw(self):
+        ps = eg.ParameterStore(np.float64)
+        init = Counted(np.ones((4, 5)))
+        p = ps.register("w", [4, 5], init)
+        assert p.shape == (4, 5) and p.dtype == np.float64
+        assert repr(p) == "Parameter(shape=(4, 5), dtype=float64)"
+        assert p.grad is None and p.requires_grad
+        assert init.calls == 0
+
+    def test_wrong_init_shape_names_the_parameter(self):
+        ps = eg.ParameterStore()
+        p = ps.register("dnn/w0", (2, 3), lambda: np.zeros((3, 2)))
+        with pytest.raises(ShapeError, match=r"parameter 'dnn/w0': init gave shape \(3, 2\)"):
+            p.data
+
+    def test_other_missing_attributes_still_raise(self):
+        p = eg.ParameterStore().register("w", (1,), Counted(np.zeros(1)))
+        with pytest.raises(AttributeError, match="no attribute 'weight'"):
+            p.weight
+
+    def test_load_arrays_assigns_without_drawing(self):
+        ps = eg.ParameterStore(np.float64)
+        init = Counted(np.zeros((2, 2)))
+        p = ps.register("w", (2, 2), init)
+        ps.load_arrays({"w": np.full((2, 2), 3.0, dtype=np.float32)})
+        assert init.calls == 0
+        assert p.data.dtype == np.float64 and (p.data == 3.0).all()
+
+    def test_wrong_shape_load_arrays_raises_without_drawing(self):
+        ps = eg.ParameterStore(np.float64)
+        inits = {"a": Counted(np.ones((2, 2))), "b": Counted(np.ones(3))}
+        for name, init in inits.items():
+            ps.register(name, init.arr.shape, init)
+        # "a" fits and comes first, "b" does not: neither may change
+        with pytest.raises(CheckpointError, match=r"parameter 'b' shape mismatch: \(4,\) vs \(3,\)"):
+            ps.load_arrays({"a": np.zeros((2, 2)), "b": np.zeros(4)})
+        assert [init.calls for init in inits.values()] == [0, 0]
+        assert (ps["a"].data == 1.0).all()
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_round_trip_bit_exact(self, tmp_path, dtype):
         ps = eg.ParameterStore(dtype)
-        ps.register("embed/user", randn(7, 4))
-        ps.register("dnn/w0", randn(3, 5))
-        ps.register("dnn/b0", randn(1, 3))
+        literal(ps, "embed/user", randn(7, 4))
+        literal(ps, "dnn/w0", randn(3, 5))
+        literal(ps, "dnn/b0", randn(1, 3))
         path = tmp_path / "model.ckpt"
         eg.save_checkpoint(path, ps)
         arrays, loaded_dtype = eg.load_checkpoint(path)
@@ -531,11 +600,11 @@ class TestCheckpoint:
 
     def test_load_into(self, tmp_path):
         ps = eg.ParameterStore(np.float64)
-        ps.register("w", randn(4, 4))
+        literal(ps, "w", randn(4, 4))
         path = tmp_path / "w.ckpt"
         eg.save_checkpoint(path, ps)
         other = eg.ParameterStore(np.float64)
-        other.register("w", np.zeros((4, 4)))
+        literal(other, "w", np.zeros((4, 4)))
         eg.load_checkpoint_into(path, other)
         assert np.array_equal(other["w"].data, ps["w"].data)
 
@@ -550,8 +619,8 @@ class TestCheckpoint:
         """A float32 checkpoint.  Its first record spans bytes 20-166: name
         length 20-24, name 24-34, rank 34-38, shape 38-54, values 54-166."""
         ps = eg.ParameterStore(np.float32)
-        ps.register("embed/user", randn(7, 4))
-        ps.register("dnn/b0", randn(1, 3))
+        literal(ps, "embed/user", randn(7, 4))
+        literal(ps, "dnn/b0", randn(1, 3))
         path = tmp_path / "model.ckpt"
         eg.save_checkpoint(path, ps)
         return path, ps
@@ -609,12 +678,39 @@ class TestCheckpoint:
             eg.load_checkpoint_into(path, ps)
         for name, t in ps.items():
             assert t.data.tobytes() == changed[name].tobytes() != before[name].tobytes()
+        # a store whose parameters were never read stays undrawn
+        undrawn = eg.ParameterStore(np.float32)
+        inits = {name: Counted(arr) for name, arr in changed.items()}
+        for name, init in inits.items():
+            undrawn.register(name, init.arr.shape, init)
+        with pytest.raises(CheckpointError):
+            eg.load_checkpoint_into(path, undrawn)
+        assert all(init.calls == 0 for init in inits.values())
+
+    @pytest.mark.parametrize("store,message", [
+        ({"embed/user": (7, 4), "dnn/b0": (1, 3)}, "does not match store dtype float64"),
+        ({"embed/user": (7, 4)}, r"missing=\[\] unexpected=\['dnn/b0'\]"),
+        ({"embed/user": (7, 4), "dnn/b0": (1, 3), "dnn/w0": (3, 2)},
+         r"missing=\['dnn/w0'\] unexpected=\[\]"),
+        ({"embed/user": (7, 4), "dnn/b0": (3, 1)}, r"'dnn/b0' shape mismatch: \(1, 3\) vs \(3, 1\)"),
+    ])
+    def test_mismatch_with_the_store_names_the_path(self, tmp_path, store, message):
+        path, _ = self.saved(tmp_path)
+        dtype = np.float64 if "dtype" in message else np.float32
+        ps = eg.ParameterStore(dtype)
+        inits = {name: Counted(np.zeros(shape)) for name, shape in store.items()}
+        for name, init in inits.items():
+            ps.register(name, init.arr.shape, init)
+        with pytest.raises(CheckpointError, match=f"{message} in .*{re.escape(str(path))}$"):
+            eg.load_checkpoint_into(path, ps)
+        assert all(init.calls == 0 for init in inits.values())
+        assert all((t.data == 0).all() for _, t in ps.items())
 
 
 class TestFiniteDifferenceCheck:
     def test_linear_quadratic_is_exact(self):
         ps = eg.ParameterStore(np.float64)
-        w = ps.register("w", np.array([[0.5, -1.0, 2.0]]))
+        w = literal(ps, "w", np.array([[0.5, -1.0, 2.0]]))
         x = eg.Tensor(np.array([[1.0, 2.0, -0.5]]))
         target = 0.7
 
@@ -631,6 +727,6 @@ class TestFiniteDifferenceCheck:
 
     def test_requires_float64(self):
         ps = eg.ParameterStore(np.float32)
-        ps.register("w", np.ones((1, 1)))
+        literal(ps, "w", np.ones((1, 1)))
         with pytest.raises(ShapeError):
             eg.finite_difference_check(lambda: None, ps)

@@ -1,8 +1,9 @@
 """Model variants: gradients of every variant against finite differences,
 table gradients against a dense scatter, each deep variant's forward
 against a plain-numpy restatement of the padded-branch formula, scoring in
-row blocks against one whole-batch pass, label checks in the loss, and
-ModelConfig validation."""
+row blocks against one whole-batch pass, parameters drawn on first read
+and never when loaded, label checks in the loss, and ModelConfig
+validation."""
 
 import tracemalloc
 from itertools import combinations
@@ -261,6 +262,65 @@ def test_blocks_fit_the_widest_intermediate(variant, fields, row_bytes, monkeypa
     assert sum(blocks) == n and len(blocks) == -(-n // most)
     assert max(blocks) <= most and max(blocks) - min(blocks) <= align
     assert all(rows % align == 0 for rows in blocks[:-1])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_each_row_is_range_checked_once_and_errors_name_the_field(variant, monkeypatch):
+    model = small_model(variant)
+    monkeypatch.setattr(network, "SCORE_BLOCK_BYTES", 1024)
+    checked = []
+    real = model._validate_indices
+    monkeypatch.setattr(model, "_validate_indices", lambda idx: checked.append(len(idx)) or real(idx))
+    x, _ = batch(n=500, seed=6)
+    model.predict_proba(x)
+    assert len(checked) > 1 and sum(checked) == 500
+    x[-1, 2] = CARDINALITY  # in the last block
+    with pytest.raises(DataError, match="field 'f2'"):
+        model.predict_proba(x)
+
+
+def new_model(variant, precision="float32"):
+    """A model at its initial values, seed 11."""
+    schemas = [FieldSchema(f"f{i}", i, CARDINALITY) for i in range(NUM_FIELDS)]
+    return CtrModel(schemas, ModelConfig(
+        variant=variant, embedding_dim=3, hidden_sizes=(5, 4), min_reduced_dim=2,
+        precision=precision, seed=11,
+    ))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_model_loaded_from_a_checkpoint_draws_nothing(variant, tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    eg.save_checkpoint(path, new_model(variant).params)
+    saved, _ = eg.load_checkpoint(path)
+    draws = []
+    monkeypatch.setattr(eg, "xavier_init", lambda shape, seed, name, dtype: draws.append(name))
+    model = new_model(variant)
+    eg.load_checkpoint_into(path, model.params)
+    x, y = batch()
+    model.predict_proba(x)
+    model.params.zero_grad()
+    model.loss(x, y).backward()
+    assert draws == []
+    for name, t in model.params.items():
+        assert t.data.tobytes() == saved[name].tobytes(), name
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_first_reads_in_reverse_order_give_each_parameter_its_own_draw(variant, precision):
+    model = new_model(variant, precision)
+    dtype = model.params.dtype
+    for name, t in reversed(list(model.params.items())):
+        if len(t.shape) == 1:  # the biases
+            want = np.zeros(t.shape, dtype)
+        else:
+            stream = "sk/branches" if name in ("sk/A", "sk/B") else name
+            want = eg.xavier_init(t.shape, 11, stream, dtype)
+        assert t.data.dtype == dtype and t.data.tobytes() == want.tobytes(), name
+    if variant == "fiinet":
+        a, b = model.params["sk/A"].data, model.params["sk/B"].data
+        assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("labels", [[0, 1, 7], [0, 1, -1], [0.5, 1, 0]])

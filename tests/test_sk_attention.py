@@ -201,7 +201,8 @@ class TestInitAndEndToEnd:
         layout = ChannelLayout.build(4)
         store = eg.ParameterStore(np.float64)
         sk_params = sk.init_sk_params(store, layout.num_channels, seed=7)
-        E = store.register("E", rand(3, 4, 4, seed=8) * 0.5)
+        e = rand(3, 4, 4, seed=8) * 0.5
+        E = store.register("E", e.shape, lambda: e)
         target = rand(3, layout.num_channels, 4, seed=9)
 
         def loss_fn():
