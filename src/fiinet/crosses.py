@@ -61,10 +61,6 @@ class ChannelLayout:
         return len(self.pairs)
 
     @property
-    def num_triples(self) -> int:
-        return len(self.triples)
-
-    @property
     def num_channels(self) -> int:
         return len(self.pairs) + len(self.triples)
 

@@ -65,9 +65,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape}, dtype={self.dtype})"
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
@@ -79,11 +76,11 @@ class Tensor:
         leaf with no gradient yet gets a copy of the first one to arrive.
         A row-sparse gradient from ``gather_rows`` or ``gather_fields`` is
         scattered straight into a leaf's own dense gradient (zeros first if
-        it has none), so no (V,k) table is built for a leaf.
+        it has none), so no (V,k) table is built; gathers read leaf tables
+        only, so it never reaches an interior node.
         An interior node stores the first gradient to reach it as it is,
         which may be a view shared with other nodes, and adds later ones out
-        of place, so no gradient array an op returned is ever written; a
-        row-sparse gradient reaching an interior node is made dense first.
+        of place, so no gradient array an op returned is ever written.
         An interior node drops its gradient once its own backward has run,
         so after the sweep only leaves hold gradients.
         """
@@ -118,8 +115,6 @@ class Tensor:
                 if pg is None:
                     continue
                 if parent._backward is not None:
-                    if type(pg) is _RowGrad:
-                        pg = pg.dense(parent.data)
                     parent.grad = pg if parent.grad is None else parent.grad + pg
                 elif parent.requires_grad:
                     if type(pg) is _RowGrad:
@@ -144,11 +139,6 @@ class _RowGrad:
     def __init__(self, rows: np.ndarray, values: np.ndarray):
         self.rows = rows
         self.values = values
-
-    def dense(self, table: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(table)
-        np.add.at(out, self.rows, self.values)
-        return out
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -273,12 +263,14 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
 
     Output shape is indices.shape + (k,).  Backward returns the gradient
     row-sparse, as the indices and the incoming (...,k) values, and
-    ``Tensor.backward`` scatter-adds it, so repeated indices accumulate.
-    A leaf table's gradient is written only at the gathered rows; a table
-    that is an interior node receives the dense (V,k) gradient.
+    ``Tensor.backward`` scatter-adds it, so repeated indices accumulate and
+    the table's gradient is written only at the gathered rows.  With grad
+    mode on, the table must be a leaf: one with a recorded graph is refused.
     """
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-D table, got {table.data.shape}")
+    if table._backward is not None and _GRAD_ENABLED:
+        raise ShapeError("gather_rows reads leaf tables only, not one with a recorded graph")
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("gather_rows indices must be integers")
@@ -294,8 +286,8 @@ def gather_fields(tables: list[Tensor], indices: np.ndarray) -> Tensor:
     """Row ``indices[b, i]`` of table i, for f (V_i,k) tables: (B,f) -> (B,f,k).
 
     The same values as ``stack_fields`` over f ``gather_rows`` calls, as
-    one tape node.  Backward hands each table its gradient row-sparse, as
-    ``gather_rows`` does.
+    one tape node.  Backward hands each table its gradient row-sparse, and
+    the tables must be leaves, as for ``gather_rows``.
     """
     if not tables:
         raise ShapeError("gather_fields needs at least one table")
@@ -303,6 +295,8 @@ def gather_fields(tables: list[Tensor], indices: np.ndarray) -> Tensor:
     for t in tables:
         if t.data.ndim != 2 or t.data.shape[1] != first.shape[1] or t.data.dtype != first.dtype:
             raise ShapeError("gather_fields: tables must be 2-D and share one width and dtype")
+        if t._backward is not None and _GRAD_ENABLED:
+            raise ShapeError("gather_fields reads leaf tables only, not one with a recorded graph")
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("gather_fields indices must be integers")
@@ -569,16 +563,11 @@ def mean_all(x: Tensor) -> Tensor:
     )
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum(), dtype=x.data.dtype)
-    return _make(out, (x,), lambda g: (np.broadcast_to(g, x.data.shape),), "sum_all")
-
-
 # ---------------------------------------------------------------------------
 # stochastic ops
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | int | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with prob rate, scale survivors by 1/(1-rate).
 
     Identity in evaluation mode or at rate 0.
@@ -588,9 +577,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | i
     if not training or rate == 0.0:
         return x
     if rng is None:
-        raise ShapeError("dropout in training mode needs an rng or seed")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+        raise ShapeError("dropout in training mode needs an rng")
     keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
     keep *= x.data.dtype.type(1.0 / (1.0 - rate))
     return _make(x.data * keep, (x,), lambda g: (g * keep,), "dropout")
@@ -691,14 +678,8 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self):
         return self._params.items()
@@ -820,57 +801,3 @@ def load_checkpoint_into(path, params: ParameterStore) -> None:
         params.load_arrays(arrays)
     except CheckpointError as exc:
         raise CheckpointError(f"{exc} in checkpoint {path}") from None
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def finite_difference_check(
-    loss_fn: Callable[[], Tensor],
-    params: ParameterStore,
-    eps: float = 1e-3,
-    max_coords_per_group: int | None = 64,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Compare analytic gradients against central finite differences.
-
-    loss_fn must rebuild the full forward pass from the current parameter
-    data and return the scalar loss tensor.  For each parameter group a
-    sample of coordinates is perturbed by +/-eps; the report maps group
-    name to max relative error with denominator max(|a|, |n|, 1e-8).
-    Report-only: never raises on a bad gradient.
-    """
-    if len(params) == 0:
-        return {}
-    if params.dtype != np.float64:
-        raise ShapeError("finite_difference_check requires float64 parameters")
-    params.zero_grad()
-    loss = loss_fn()
-    loss.backward()
-    analytic = {name: t.grad.copy() for name, t in params.items()}
-    rng = np.random.default_rng(seed)
-    report: dict[str, float] = {}
-    for name, t in params.items():
-        flat = t.data.reshape(-1)
-        n = flat.size
-        if max_coords_per_group is None or n <= max_coords_per_group:
-            coords = np.arange(n)
-        else:
-            coords = rng.choice(n, size=max_coords_per_group, replace=False)
-        a_flat = analytic[name].reshape(-1)
-        worst = 0.0
-        for c in coords:
-            old = flat[c]
-            flat[c] = old + eps
-            lp = float(loss_fn().data)
-            flat[c] = old - eps
-            lm = float(loss_fn().data)
-            flat[c] = old
-            numeric = (lp - lm) / (2.0 * eps)
-            a = float(a_flat[c])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            if rel > worst:
-                worst = rel
-        report[name] = worst
-    return report

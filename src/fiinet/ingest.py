@@ -230,36 +230,15 @@ def _not_utf8_error(path, newline: str | None = None) -> DataError:
     return DataError(f"{path}: not UTF-8")
 
 
-def build_vocabulary(rows: list[list[str]], field_names: list[str]) -> Vocabulary:
-    """Assign indices >= 1 in first-appearance order; index 0 stays OOV.
-
-    Deterministic given row order.
-    """
-    if not rows:
-        raise DataError("empty dataset")
-    return _first_appearance(_columns(rows, len(field_names), 1), field_names)
-
-
-def _columns(rows: list[list[str]], width: int, first_rowno: int) -> list[list[str]]:
+def _columns(rows: list[list[str]], width: int) -> list[list[str]]:
     """The rows transposed, once every row is checked to have ``width``
-    entries; rows are numbered from ``first_rowno`` in errors."""
+    entries; rows are numbered from 2 in errors, as in a file whose line 1
+    is the header."""
     if set(map(len, rows)) - {width}:
-        rowno, row = next(
-            (n, row) for n, row in enumerate(rows, first_rowno) if len(row) != width
-        )
+        rowno, row = next((n, row) for n, row in enumerate(rows, 2) if len(row) != width)
         raise DataError(f"ragged row {rowno}: {len(row)} columns, expected {width}")
     flat = list(itertools.chain.from_iterable(rows))
     return [flat[j::width] for j in range(width)]
-
-
-def _first_appearance(columns: list, field_names: list[str]) -> Vocabulary:
-    """One map per column: each distinct value, in first-appearance order,
-    to 1, 2, 3, ..."""
-    maps = []
-    for column in columns:
-        values = dict.fromkeys(column)
-        maps.append(dict(zip(values, range(1, len(values) + 1))))
-    return _vocabulary(field_names, maps)
 
 
 def binarize_label(scores, threshold: float) -> np.ndarray:
@@ -301,17 +280,17 @@ def split_dataset(
     dataset: EncodedDataset, ratios: tuple[float, float, float], seed: int
 ) -> DatasetSplit:
     """Seeded-shuffle partition into train/valid/test; same seed, same split."""
-    r_train, r_valid, r_test = ratios
-    if min(ratios) <= 0:
-        raise DataError(f"split ratios must be positive, got {ratios}")
+    # r > 0, not r <= 0, so that a NaN ratio fails
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):
+        raise DataError(f"split ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"split ratios must sum to 1, got {ratios}")
     n = len(dataset)
     if n < 3:
         raise DataError(f"need at least 3 examples to split, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
-    n_train = int(math.floor(n * r_train))
-    n_valid = int(math.floor(n * r_valid))
+    n_train = int(math.floor(n * ratios[0]))
+    n_valid = int(math.floor(n * ratios[1]))
     sections = (
         perm[:n_train],
         perm[n_train : n_train + n_valid],
@@ -369,12 +348,14 @@ def encode_table(
     numeric_fields: list[str] | None = None,
     numeric_bins: int = 10,
 ) -> tuple[Vocabulary, EncodedDataset]:
-    """Vocabulary build plus full encode of one raw table."""
+    """Vocabulary build plus full encode of one raw table.  A field's values
+    take the indices 1, 2, 3, ... in the order they first appear."""
+    _require_unique(header, "header: ")
     missing = [c for c in [label_column, *field_columns] if c not in header]
     if missing:
         raise DataError(f"missing columns: {', '.join(missing)}")
-    col_of = {name: header.index(name) for name in header}
-    table = _columns(rows, len(header), 2)  # header was line 1
+    col_of = {name: j for j, name in enumerate(header)}
+    table = _columns(rows, len(header))
 
     columns = {name: table[col_of[name]] for name in field_columns}
     _require_unique(numeric_fields or [], "numeric fields: ")
@@ -384,7 +365,11 @@ def encode_table(
         columns[name] = bucketize_numeric(columns[name], numeric_bins)
     if not rows:
         raise DataError("empty dataset")
-    vocab = _first_appearance([columns[name] for name in field_columns], field_columns)
+    maps = []
+    for name in field_columns:
+        values = dict.fromkeys(columns[name])
+        maps.append(dict(zip(values, range(1, len(values) + 1))))
+    vocab = _vocabulary(field_columns, maps)
 
     n = len(rows)
     indices = np.empty((n, len(field_columns)), dtype=np.int64)

@@ -53,7 +53,6 @@ SCORE_BLOCK_ALIGN = 16
 class ModelConfig:
     variant: str = "fiinet"
     embedding_dim: int = 32
-    reduction_ratio: int = sk.DEFAULT_REDUCTION_RATIO
     min_reduced_dim: int = sk.DEFAULT_MIN_REDUCED_DIM
     hidden_sizes: tuple[int, ...] = (128, 64)
     dropout: float = 0.2
@@ -63,7 +62,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}' (choose from {VARIANTS})")
-        for name in ("embedding_dim", "reduction_ratio", "min_reduced_dim"):
+        for name in ("embedding_dim", "min_reduced_dim"):
             _require_int(name, getattr(self, name))
         if not isinstance(self.hidden_sizes, (tuple, list)):
             raise ConfigError(
@@ -153,8 +152,7 @@ class CtrModel:
         self.layout = ChannelLayout.build(self.num_fields, orders)
         if attention:
             self.sk_params = sk.init_sk_params(
-                self.params, self.layout.num_channels, cfg.reduction_ratio,
-                cfg.min_reduced_dim, cfg.seed,
+                self.params, self.layout.num_channels, cfg.min_reduced_dim, cfg.seed
             )
         width = self.layout.num_channels * cfg.embedding_dim
         for li, h in enumerate(cfg.hidden_sizes):
@@ -287,6 +285,8 @@ class CtrModel:
 
     def batch_attention(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-example attention weights (a, b), each (B,C), evaluation mode."""
+        if self.sk_params is None:
+            raise ShapeError(f"variant '{self.config.variant}' has no attention weights")
         idx = self._validate_indices(indices)
         if idx.shape[0] == 0:
             raise DataError("empty sample for attention export")

@@ -25,15 +25,16 @@ from . import engine as eg
 from .crosses import ChannelLayout
 from .errors import DataError, ShapeError
 
-DEFAULT_REDUCTION_RATIO = 3
+REDUCTION_RATIO = 3
 DEFAULT_MIN_REDUCED_DIM = 8
 
 
-def reduced_dim(num_channels: int, ratio: int, min_dim: int = DEFAULT_MIN_REDUCED_DIM) -> int:
-    """Bottleneck width d = max(ceil(C/r), d_min); d_min guards tiny layouts."""
-    if num_channels <= 0 or ratio <= 0 or min_dim <= 0:
+def reduced_dim(num_channels: int, min_dim: int = DEFAULT_MIN_REDUCED_DIM) -> int:
+    """Bottleneck width d = max(ceil(C/r), d_min) at r = REDUCTION_RATIO;
+    d_min guards tiny layouts."""
+    if num_channels <= 0 or min_dim <= 0:
         raise ShapeError("reduced_dim arguments must be positive")
-    return max(math.ceil(num_channels / ratio), min_dim)
+    return max(math.ceil(num_channels / REDUCTION_RATIO), min_dim)
 
 
 @dataclass
@@ -48,7 +49,6 @@ class SkParams:
 def init_sk_params(
     store: eg.ParameterStore,
     num_channels: int,
-    ratio: int = DEFAULT_REDUCTION_RATIO,
     min_dim: int = DEFAULT_MIN_REDUCED_DIM,
     seed: int = 0,
 ) -> SkParams:
@@ -58,7 +58,7 @@ def init_sk_params(
     they start bit-equal and every channel weight is exactly 0.5 before
     training, which makes before/after weight comparisons well-defined.
     """
-    d = reduced_dim(num_channels, ratio, min_dim)
+    d = reduced_dim(num_channels, min_dim)
     dtype = store.dtype
     w1 = store.register(
         "sk/w1", (d, num_channels), lambda: eg.xavier_init((d, num_channels), seed, "sk/w1", dtype)

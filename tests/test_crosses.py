@@ -12,6 +12,7 @@ from fiinet.crosses import (
     enumerate_triples,
 )
 from fiinet.errors import ShapeError
+from gradcheck import total
 
 
 def brute_force_pairs(E):
@@ -61,8 +62,8 @@ class TestEnumeration:
     def test_channel_counts(self, f):
         layout = ChannelLayout.build(f)
         assert layout.num_pairs == f * (f - 1) // 2
-        assert layout.num_triples == f * (f - 1) * (f - 2) // 6
-        assert layout.num_channels == layout.num_pairs + layout.num_triples
+        assert len(layout.triples) == f * (f - 1) * (f - 2) // 6
+        assert layout.num_channels == layout.num_pairs + len(layout.triples)
 
 
 class TestBranchTensors:
@@ -92,8 +93,8 @@ class TestBranchTensors:
         e = np.array([0.5, -2.0, 1.5])
         E = eg.Tensor(np.broadcast_to(e, (1, 5, 3)).copy())
         u3 = build_branch_3(E, layout).data[0]
-        assert u3.shape == (layout.num_triples, 3)
-        for c in range(layout.num_triples):
+        assert u3.shape == (len(layout.triples), 3)
+        for c in range(len(layout.triples)):
             assert np.allclose(u3[c], e * e * e)
 
     @pytest.mark.parametrize("f", range(3, 9))
@@ -113,7 +114,7 @@ class TestBranchTensors:
         layout = ChannelLayout.build(5)
         E = eg.Tensor(np.random.default_rng(3).standard_normal((2, 5, 4)))
         assert build_branch_2(E, layout).data.shape == (2, layout.num_pairs, 4)
-        assert build_branch_3(E, layout).data.shape == (2, layout.num_triples, 4)
+        assert build_branch_3(E, layout).data.shape == (2, len(layout.triples), 4)
 
     def test_permutation_consistency(self):
         # swapping two field embeddings permutes channels, values unchanged
@@ -144,7 +145,7 @@ class TestBranchTensors:
         layout = ChannelLayout.build(4)
         E = eg.Tensor(np.random.default_rng(5).standard_normal((2, 4, 3)), requires_grad=True)
         E.zero_grad()
-        loss = eg.add(eg.sum_all(build_branch_2(E, layout)), eg.sum_all(build_branch_3(E, layout)))
+        loss = eg.add(total(build_branch_2(E, layout)), total(build_branch_3(E, layout)))
         loss.backward()
         assert E.grad.shape == E.data.shape
         assert np.abs(E.grad).sum() > 0
@@ -156,7 +157,7 @@ class TestBranchTensors:
 
     def test_restricted_layouts(self):
         pair_only = ChannelLayout.build(4, orders=(2,))
-        assert pair_only.num_triples == 0
+        assert not pair_only.triples
         E = eg.Tensor(np.random.default_rng(1).standard_normal((2, 4, 3)))
         assert build_branch_2(E, pair_only).data.shape == (2, 6, 3)
         with pytest.raises(ShapeError):

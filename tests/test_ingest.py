@@ -12,41 +12,46 @@ from fiinet import ingest
 from fiinet.errors import DataError
 
 
+def vocabulary_of(rows, field_names):
+    """The vocabulary ``encode_table`` builds from rows of field values,
+    under a label column that no field shares a name with."""
+    label = "".join(field_names) + "#"
+    vocab, _ = ingest.encode_table(
+        [["0", *row] for row in rows], [label, *field_names], label, list(field_names), 0.0
+    )
+    return vocab
+
+
 class TestBuildVocabulary:
+    """The vocabulary ``encode_table`` builds: values indexed from 1 in the
+    order they first appear, 0 for any value not seen."""
+
     def test_first_seen_order(self):
-        vocab = ingest.build_vocabulary([["A"], ["B"], ["A"]], ["brand"])
+        vocab = vocabulary_of([["A"], ["B"], ["A"]], ["brand"])
         assert vocab.maps[0] == {"A": 1, "B": 2}
         assert vocab.schemas[0].cardinality == 3
 
     def test_single_row_two_fields(self):
-        vocab = ingest.build_vocabulary([["x", "y"]], ["f0", "f1"])
+        vocab = vocabulary_of([["x", "y"]], ["f0", "f1"])
         assert [s.cardinality for s in vocab.schemas] == [2, 2]
 
     def test_unseen_value_maps_to_oov(self):
-        vocab = ingest.build_vocabulary([["A"]], ["f"])
+        vocab = vocabulary_of([["A"]], ["f"])
         assert vocab.encode_row(["ZZZ"])[0] == ingest.OOV_INDEX
 
     def test_empty_input(self):
         with pytest.raises(DataError, match="empty dataset"):
-            ingest.build_vocabulary([], ["f"])
-
-    def test_ragged_row_names_line(self):
-        with pytest.raises(DataError, match="row 2"):
-            ingest.build_vocabulary([["a", "b"], ["a"]], ["f0", "f1"])
-
-    def test_duplicate_field_name_rejected(self):
-        with pytest.raises(DataError, match="duplicate field name 'f'"):
-            ingest.build_vocabulary([["a", "b"]], ["f", "f"])
+            vocabulary_of([], ["f"])
 
     def test_round_trip_in_vocabulary(self):
         rows = [["a", "x"], ["b", "y"], ["c", "x"]]
-        vocab = ingest.build_vocabulary(rows, ["f0", "f1"])
+        vocab = vocabulary_of(rows, ["f0", "f1"])
         for row in rows:
             idx = vocab.encode_row(row)
             assert [vocab.decode_value(fi, int(i)) for fi, i in enumerate(idx)] == row
 
     def test_oov_closure_never_errors(self):
-        vocab = ingest.build_vocabulary([["a"]], ["f"])
+        vocab = vocabulary_of([["a"]], ["f"])
         for junk in ["", "weird\tvalue", "0", "a "]:
             if junk == "a":
                 continue
@@ -54,8 +59,8 @@ class TestBuildVocabulary:
 
     def test_deterministic_given_row_order(self):
         rows = [["c"], ["a"], ["b"], ["a"]]
-        v1 = ingest.build_vocabulary(rows, ["f"])
-        v2 = ingest.build_vocabulary(rows, ["f"])
+        v1 = vocabulary_of(rows, ["f"])
+        v2 = vocabulary_of(rows, ["f"])
         assert v1.maps == v2.maps
         assert v1.maps[0] == {"c": 1, "a": 2, "b": 3}
 
@@ -116,6 +121,9 @@ class TestSplitDataset:
             ingest.split_dataset(self.dataset(10), (0.5, 0.5, 0.5), seed=0)
         with pytest.raises(DataError):
             ingest.split_dataset(self.dataset(10), (0.9, 0.2, -0.1), seed=0)
+        for ratios in [(0.8, float("nan"), 0.1), (0.5, 0.5), (0.7, 0.1, 0.1, 0.1)]:
+            with pytest.raises(DataError, match=re.escape(f"got {ratios}")):
+                ingest.split_dataset(self.dataset(10), ratios, seed=0)
 
     def test_too_few_examples(self):
         with pytest.raises(DataError):
@@ -242,6 +250,10 @@ class TestEncodeTable:
     def test_duplicate_field_column_rejected(self):
         with pytest.raises(DataError, match="duplicate field name 'user'"):
             ingest.encode_table(self.ROWS, self.HEADER, "rating", ["user", "item", "user"], 6)
+        # a header that repeats a name: its second column would never be read
+        header = ["user", "age", "age", "rating"]
+        with pytest.raises(DataError, match="^header: duplicate field name 'age'$"):
+            ingest.encode_table(self.ROWS, header, "rating", ["user", "age"], 6)
 
     def test_ragged_row_names_line(self):
         rows = [self.ROWS[0], self.ROWS[1][:3], self.ROWS[2]]
@@ -325,7 +337,7 @@ class TestReadTable:
 
 class TestFileRoundTrips:
     def test_vocab_file_format(self, tmp_path):
-        vocab = ingest.build_vocabulary([["A", "x"], ["B", "y"]], ["f0", "f1"])
+        vocab = vocabulary_of([["A", "x"], ["B", "y"]], ["f0", "f1"])
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
         assert path.read_text() == "f0\t2\nA\nB\nf1\t2\nx\ny\n"
@@ -345,7 +357,7 @@ class TestFileRoundTrips:
 
     def test_prepared_round_trip(self, tmp_path):
         rows = [["a", "x"], ["b", "y"], ["c", "x"], ["a", "y"], ["b", "x"]]
-        vocab = ingest.build_vocabulary(rows, ["f0", "f1"])
+        vocab = vocabulary_of(rows, ["f0", "f1"])
         ds = ingest.EncodedDataset(
             np.stack([vocab.encode_row(r) for r in rows]),
             np.array([1, 0, 1, 0, 1]),
@@ -359,7 +371,7 @@ class TestFileRoundTrips:
 
     def test_byte_identical_outputs_for_same_seed(self, tmp_path):
         rows = [[f"u{i % 7}", f"i{i % 5}"] for i in range(40)]
-        vocab = ingest.build_vocabulary(rows, ["u", "i"])
+        vocab = vocabulary_of(rows, ["u", "i"])
         ds = ingest.EncodedDataset(
             np.stack([vocab.encode_row(r) for r in rows]),
             np.arange(40) % 2,
@@ -410,7 +422,7 @@ class TestVocabularyFile:
         assert loaded.schemas == vocab.schemas
 
     def test_escapes_written(self, tmp_path):
-        vocab = ingest.build_vocabulary([["x\ty"], ["a\\nb"], ["l1\nl2\r"]], ["f"])
+        vocab = vocabulary_of([["x\ty"], ["a\\nb"], ["l1\nl2\r"]], ["f"])
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
         assert path.read_bytes().decode() == "f\t3\nx\\ty\na\\\\nb\nl1\\nl2\\r\n"
@@ -436,14 +448,14 @@ class TestVocabularyFile:
     @pytest.mark.parametrize("field_names", [["f"], ["g", "f"], ["f", "g", "h"]])
     def test_other_field_list_names_the_file(self, tmp_path, field_names):
         path = tmp_path / "vocab.tsv"
-        ingest.build_vocabulary([["a", "b"]], ["f", "g"]).save(path)
+        vocabulary_of([["a", "b"]], ["f", "g"]).save(path)
         with pytest.raises(
             DataError, match=re.escape(f"vocab.tsv: holds the fields ['f', 'g'], expected {field_names}")
         ):
             ingest.Vocabulary.load(path, field_names)
 
     def test_values_spelled_like_headers_or_empty_round_trip(self, tmp_path):
-        vocab = ingest.build_vocabulary([["f\t3", ""], ["", "g\t1"], ["2", "f"]], ["f", "g"])
+        vocab = vocabulary_of([["f\t3", ""], ["", "g\t1"], ["2", "f"]], ["f", "g"])
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
         loaded = ingest.Vocabulary.load(path, ["f", "g"])
@@ -451,12 +463,12 @@ class TestVocabularyFile:
         assert loaded.schemas == vocab.schemas
 
     def test_decode_value_outside_the_map_is_none(self):
-        vocab = ingest.build_vocabulary([["a"], ["b"], ["c"]], ["f"])
+        vocab = vocabulary_of([["a"], ["b"], ["c"]], ["f"])
         assert [vocab.decode_value(0, i) for i in range(-1, 5)] == [None, None, "a", "b", "c", None]
 
     def test_duplicate_field_names_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        ingest.build_vocabulary([["a"]], ["f"]).save(path)
+        vocabulary_of([["a"]], ["f"]).save(path)
         with pytest.raises(DataError, match=r"vocab.tsv: duplicate field name 'f'"):
             ingest.Vocabulary.load(path, ["f", "f"])
         with pytest.raises(DataError, match="duplicate field name 'f'"):
@@ -480,7 +492,7 @@ class TestVocabularyFile:
 
     def test_prepared_round_trip_with_tab_and_newline(self, tmp_path):
         rows = [["x\ty", "p"], ["a\nb", "q"], ["x\ty", "q"], ["c", "p"], ["a\nb", "p"]]
-        vocab = ingest.build_vocabulary(rows, ["f0", "f1"])
+        vocab = vocabulary_of(rows, ["f0", "f1"])
         ds = ingest.EncodedDataset(np.stack([vocab.encode_row(r) for r in rows]), np.array([1, 0, 1, 0, 1]))
         ingest.write_prepared(tmp_path / "out", vocab, ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=1))
         loaded, _ = ingest.load_prepared(tmp_path / "out")
@@ -603,7 +615,7 @@ class TestSplitFileValidation:
 
     def test_load_prepared_rejects_out_of_range_indices(self, tmp_path):
         rows = [["a", "x"], ["b", "y"], ["c", "x"], ["a", "y"], ["b", "x"]]
-        vocab = ingest.build_vocabulary(rows, ["f0", "f1"])
+        vocab = vocabulary_of(rows, ["f0", "f1"])
         ds = ingest.EncodedDataset(np.stack([vocab.encode_row(r) for r in rows]), np.array([1, 0, 1, 0, 1]))
         ingest.write_prepared(tmp_path, vocab, ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=5))
         write_npy(tmp_path / "test.npy", [[1, 0, 0], [1, 1, 2], [0, 4, 9]])
@@ -625,7 +637,7 @@ class TestFieldsFile:
     def prepared(out, field_names=("f0", "f1")):
         rows = [["a", "x"], ["b", "y"], ["c", "x"], ["a", "y"], ["b", "x"]]
         rows = [[row[i % 2] for i in range(len(field_names))] for row in rows]
-        vocab = ingest.build_vocabulary(rows, list(field_names))
+        vocab = vocabulary_of(rows, list(field_names))
         ds = ingest.EncodedDataset(np.stack([vocab.encode_row(r) for r in rows]), np.array([1, 0, 1, 0, 1]))
         ingest.write_prepared(out, vocab, ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=5))
         return vocab

@@ -16,6 +16,7 @@ from fiinet import network
 from fiinet.errors import ConfigError, DataError, ShapeError
 from fiinet.ingest import FieldSchema
 from fiinet.network import VARIANTS, CtrModel, ModelConfig
+from gradcheck import check_parameters
 
 NUM_FIELDS = 4
 CARDINALITY = 6
@@ -45,9 +46,7 @@ def batch(n=7, seed=4):
 def test_variant_gradients_pass_fd_check(variant):
     model = small_model(variant)
     x, y = batch()
-    report = eg.finite_difference_check(
-        lambda: model.loss(x, y), model.params, eps=1e-5, max_coords_per_group=24
-    )
+    report = check_parameters(lambda: model.loss(x, y), model.params, eps=1e-5, max_coords=24)
     assert max(report.values()) < 1e-4, report
 
 
@@ -194,7 +193,7 @@ def test_ablation_matches_padded_formula_bitwise(variant, orders, precision):
 ])
 def test_deep_variants_cross_orders_and_attention(variant, pairs, triples, attention):
     model = small_model(variant)
-    assert (model.layout.num_pairs, model.layout.num_triples) == (pairs, triples)
+    assert (model.layout.num_pairs, len(model.layout.triples)) == (pairs, triples)
     assert (model.sk_params is not None) == attention
     x, _ = batch()
     assert model.forward(x).data.shape == (7,)
@@ -202,8 +201,9 @@ def test_deep_variants_cross_orders_and_attention(variant, pairs, triples, atten
         a, b = model.batch_attention(x)
         assert a.shape == b.shape == (7, pairs + triples)
     else:
-        with pytest.raises(ShapeError, match="no attention weights"):
-            model.batch_attention(x)
+        for rows in (x, x[:0]):
+            with pytest.raises(ShapeError, match="no attention weights"):
+                model.batch_attention(rows)
 
 
 def count_blocks(monkeypatch, model, name, blocks):
@@ -334,7 +334,7 @@ def test_loss_rejects_labels_outside_0_1(labels):
 @pytest.mark.parametrize("field,value", [
     ("variant", "deepfm"), ("dropout", -0.1),
     ("dropout", 1.0), ("precision", "float16"),
-    ("embedding_dim", 2.5), ("embedding_dim", 0), ("reduction_ratio", 0),
+    ("embedding_dim", 2.5), ("embedding_dim", 0), ("min_reduced_dim", 0),
     ("min_reduced_dim", -1), ("hidden_sizes", (0,)), ("hidden_sizes", (8, 2.5)),
     ("hidden_sizes", ()), ("hidden_sizes", 64), ("hidden_sizes", "64"),
     ("dropout", "0.2"), ("dropout", None), ("seed", -1), ("seed", 2.5), ("seed", True),

@@ -7,6 +7,7 @@ from fiinet import engine as eg
 from fiinet import sk_attention as sk
 from fiinet.crosses import ChannelLayout, build_branch_2, build_branch_3
 from fiinet.errors import DataError, ShapeError
+from gradcheck import check_parameters
 
 
 def rand(*shape, seed=0):
@@ -56,13 +57,17 @@ class TestPooling:
 
 class TestReducedDim:
     def test_formula(self):
-        assert sk.reduced_dim(20, 3, 8) == 8  # max(ceil(20/3), 8)
-        assert sk.reduced_dim(35, 3, 8) == 12
-        assert sk.reduced_dim(100, 4, 8) == 25
+        assert sk.REDUCTION_RATIO == 3
+        assert sk.reduced_dim(20, 8) == 8  # max(ceil(20/3), 8)
+        assert sk.reduced_dim(35, 8) == 12
+        assert sk.reduced_dim(100, 8) == 34
+        assert sk.reduced_dim(100, 40) == 40
 
     def test_positive_args(self):
         with pytest.raises(ShapeError):
-            sk.reduced_dim(0, 3)
+            sk.reduced_dim(0)
+        with pytest.raises(ShapeError):
+            sk.reduced_dim(20, 0)
 
 
 class TestReduce:
@@ -191,7 +196,7 @@ class TestInitAndEndToEnd:
         store = eg.ParameterStore(np.float64)
         params = sk.init_sk_params(store, num_channels=20, seed=2023)
         assert np.array_equal(params.branch_a.data, params.branch_b.data)
-        assert params.w1.data.shape == (sk.reduced_dim(20, 3, 8), 20)
+        assert params.w1.data.shape == (sk.reduced_dim(20, 8), 20)
         # fresh init means every channel weight is exactly 0.5
         s = eg.Tensor(rand(5, 8, seed=3))
         a, b = sk.select_softmax(s, params.branch_a, params.branch_b)
@@ -214,7 +219,7 @@ class TestInitAndEndToEnd:
             diff = eg.sub(v, eg.Tensor(target))
             return eg.mean_all(eg.mul(diff, diff))
 
-        report = eg.finite_difference_check(loss_fn, store, eps=1e-5)
+        report = check_parameters(loss_fn, store, eps=1e-5, max_coords=64)
         assert max(report.values()) < 1e-4, report
 
 
