@@ -43,6 +43,16 @@ class TestBuildVocabulary:
         with pytest.raises(DataError, match="empty dataset"):
             vocabulary_of([], ["f"])
 
+    def test_ragged_row_names_line(self):
+        # rows are numbered as table lines, the header being row 1; the
+        # helper's label column makes the expected width 3
+        with pytest.raises(DataError, match="^ragged row 3: 2 columns, expected 3$"):
+            vocabulary_of([["a", "b"], ["a"]], ["f0", "f1"])
+
+    def test_duplicate_field_name_rejected(self):
+        with pytest.raises(DataError, match="duplicate field name 'f'"):
+            vocabulary_of([["a", "b"]], ["f", "f"])
+
     def test_round_trip_in_vocabulary(self):
         rows = [["a", "x"], ["b", "y"], ["c", "x"]]
         vocab = vocabulary_of(rows, ["f0", "f1"])
