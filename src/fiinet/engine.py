@@ -7,6 +7,21 @@ exactly which shapes it accepts and raises ShapeError otherwise, which
 keeps the channel bookkeeping of the cross/attention layers auditable.
 
 Convention: the leading axis of 2-D/3-D tensors is the minibatch axis.
+
+Finiteness is checked only where a non-finite value could turn finite or
+be dropped: ``relu`` (-inf becomes 0), ``sigmoid`` and ``clamp`` (+-inf
+become a finite bound), ``join_columns`` (drops columns) and
+``take_fields`` (drops fields) check their inputs, ``log`` refuses any
+input that is not > 0, NaN included, and ``Tensor.backward`` checks its
+scalar.  Every other op hands a non-finite input on as non-finite (under
+IEEE, inf * 0 and inf - inf are NaN), so any inf or NaN in a model
+reaches one of these checks, and no op spends time scanning a wide
+(B,C,k) intermediate.  Such a check names the op where the value was
+caught, not the one that made it.  The model layer then scores the same
+rows again off the tape with ``_every_op_checked``, under which every op
+checks its output, so the error names the op that produced the value.
+Gathers and ``cross_products`` drop the rows and fields their indices do
+not name; they read leaf tables and every field in the model.
 """
 
 from __future__ import annotations
@@ -25,6 +40,8 @@ from .errors import CheckpointError, NonFiniteError, ShapeError
 SIGMOID_EPS = 1e-7
 
 _GRAD_ENABLED = True
+# Set only by _every_op_checked: every op then checks its own output.
+_CHECK_EVERY_OP = False
 
 
 @contextmanager
@@ -37,6 +54,20 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+@contextmanager
+def _every_op_checked():
+    """Check every op's output inside the block, so a non-finite value
+    raises at the op that produced it; the model replays a failed forward
+    under it to name that op."""
+    global _CHECK_EVERY_OP
+    prev = _CHECK_EVERY_OP
+    _CHECK_EVERY_OP = True
+    try:
+        yield
+    finally:
+        _CHECK_EVERY_OP = prev
 
 
 class Tensor:
@@ -90,6 +121,8 @@ class Tensor:
             )
         if self._backward is None and not self.requires_grad:
             raise ShapeError("backward called on a tensor with no recorded graph")
+        if not np.isfinite(self.data).all():
+            raise NonFiniteError("backward from a non-finite output")
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -141,13 +174,14 @@ class _RowGrad:
         self.values = values
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+def _check_input(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite values produced by op '{op}'")
+        raise NonFiniteError(f"non-finite input to op '{op}'")
 
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    _check_finite(out_data, op)
+    if _CHECK_EVERY_OP and not np.isfinite(out_data).all():
+        raise NonFiniteError(f"non-finite values produced by op '{op}'")
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -221,6 +255,7 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    _check_input(a.data, "relu")
     out = np.maximum(a.data, 0)
     return _make(out, (a,), lambda g: (g * (a.data > 0),), "relu")
 
@@ -236,19 +271,21 @@ def _sigmoid_values(z: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     """Logistic function, output clamped into (eps, 1-eps) for loss safety."""
+    _check_input(a.data, "sigmoid")
     p = _sigmoid_values(a.data)
     np.clip(p, SIGMOID_EPS, 1.0 - SIGMOID_EPS, out=p)
     return _make(p, (a,), lambda g: (g * p * (1.0 - p),), "sigmoid")
 
 
 def log(a: Tensor) -> Tensor:
-    if (a.data <= 0).any():
+    if not (a.data > 0).all():
         raise NonFiniteError("log of non-positive value")
     return _make(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip into [lo, hi]; gradient is zero where the input was clipped."""
+    _check_input(a.data, "clamp")
     out = np.clip(a.data, lo, hi)
     inside = (a.data >= lo) & (a.data <= hi)
     return _make(out, (a,), lambda g: (g * inside,), "clamp")
@@ -343,6 +380,7 @@ def take_fields(x: Tensor, field_idx: np.ndarray) -> Tensor:
     f = x.data.shape[1]
     if idx.size and (idx.min() < 0 or idx.max() >= f):
         raise ShapeError(f"take_fields: field index out of range 0..{f - 1}")
+    _check_input(x.data, "take_fields")
     out = x.data[:, idx, :]
 
     def backward(g):
@@ -481,6 +519,8 @@ def join_columns(left: Tensor, right: Tensor, split: int) -> Tensor:
         raise ShapeError(
             f"join_columns: split {split} does not fit shape {left.data.shape}"
         )
+    _check_input(left.data, "join_columns")
+    _check_input(right.data, "join_columns")
     out = np.concatenate([left.data[:, :split], right.data[:, split:]], axis=1)
 
     def backward(g):

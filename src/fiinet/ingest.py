@@ -218,8 +218,9 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 def _not_utf8_error(path, newline: str | None = None) -> DataError:
     """The error for the first line of a text file that is not UTF-8, with
-    lines split as ``open(path, newline=newline)`` splits them."""
-    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as f:
+    lines split as ``open(path, newline=newline)`` splits them.  A leading
+    byte-order mark is not counted as a column."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline=newline) as f:
         for lineno, line in enumerate(f, 1):
             bad = _UNDECODABLE.search(line)
             if bad:
@@ -304,9 +305,10 @@ def split_dataset(
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
     """Comma-separated text with a header row.  Blank lines are skipped;
-    every other record must have as many columns as the header."""
+    every other record must have as many columns as the header.  A leading
+    UTF-8 byte-order mark is dropped, so it never joins the first name."""
     try:
-        with open(path, encoding="utf-8", newline="") as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:
             reader = csv.reader(f)
             try:
                 header = next(reader)
@@ -326,7 +328,7 @@ def _ragged_record_error(path, width: int) -> DataError:
     """The error for the first record of a CSV file, after the header,
     that is not blank and not ``width`` columns wide; it names the line the
     record starts on."""
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
         next(reader)
         lineno = reader.line_num + 1

@@ -19,7 +19,7 @@ import numpy as np
 from . import engine as eg
 from . import sk_attention as sk
 from .crosses import ChannelLayout, build_branch_2, build_branch_3
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NonFiniteError, ShapeError
 from .ingest import FieldSchema
 
 VARIANTS = ("fiinet", "fiinet-sh", "fiinet-s", "fiinet-h", "lr", "fm")
@@ -90,6 +90,19 @@ def _require_int(name: str, value, minimum: int = 1) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         kind = "a positive int" if minimum == 1 else f"an int >= {minimum}"
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+def _replay(score) -> None:
+    """Run ``score()`` again off the tape with every op's output checked.
+
+    The engine checks finiteness only where a value could vanish, so a
+    failed forward names the op that caught the value, say ``relu``.  Run
+    again under ``engine._every_op_checked``, it raises at the op that
+    produced the value instead.  The replay runs in evaluation mode, so
+    dropout draws nothing; if it raises nothing, the caller re-raises its
+    own error."""
+    with eg.no_grad(), eg._every_op_checked():
+        score()
 
 
 def bce_loss(probs: eg.Tensor, labels: np.ndarray) -> eg.Tensor:
@@ -246,8 +259,18 @@ class CtrModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> eg.Tensor:
-        """Predicted probabilities for a batch, shape (B,), open interval (0,1)."""
+        """Predicted probabilities for a batch, shape (B,), open interval (0,1).
+
+        A non-finite value raises NonFiniteError naming the op that
+        produced it (see ``_replay``)."""
         idx = self._validate_indices(indices)
+        try:
+            return self._forward(idx, training, rng)
+        except NonFiniteError:
+            _replay(lambda: self._forward(idx, False, None))
+            raise
+
+    def _forward(self, idx: np.ndarray, training: bool, rng) -> eg.Tensor:
         batch = idx.shape[0]
         z = self._linear_logit(idx)
         if self.layout is not None:
@@ -292,7 +315,11 @@ class CtrModel:
             raise DataError("empty sample for attention export")
 
         def weights(block):
-            _, a, b = self.attention_weights(self._embeddings(block))
+            try:
+                _, a, b = self.attention_weights(self._embeddings(block))
+            except NonFiniteError:
+                _replay(lambda: self.attention_weights(self._embeddings(block)))
+                raise
             return a.data, b.data
 
         a, b = zip(*self._in_blocks(idx, weights))

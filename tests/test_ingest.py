@@ -339,6 +339,26 @@ class TestReadTable:
         with pytest.raises(DataError, match=r"raw.csv:3: byte 0xff at column 4 is not UTF-8"):
             ingest.read_table(path)
 
+    def test_byte_order_mark_is_dropped_from_the_header(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,a\n1,x\n0,y\n")
+        header, rows = ingest.read_table(path)
+        assert header == ["label", "a"]
+        _, ds = ingest.encode_table(rows, header, "label", ["a"], 0.5)
+        assert ds.labels.tolist() == [1, 0]
+
+    def test_ragged_record_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,a\n1,x\n\n0,y,z\n")
+        with pytest.raises(DataError, match=r"raw.csv:4: ragged record: 3 columns, expected 2$"):
+            ingest.read_table(path)
+
+    def test_not_utf8_after_a_byte_order_mark_counts_columns_after_it(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,a\xff\n1,x\n")
+        with pytest.raises(DataError, match=r"raw.csv:1: byte 0xff at column 8 is not UTF-8"):
+            ingest.read_table(path)
+
     def test_records_spanning_lines_and_blank_lines_read(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text('label,a\n1,x\n\n"2\n",y\n', newline="")
