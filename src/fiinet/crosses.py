@@ -1,11 +1,13 @@
 """Explicit feature-cross construction (the Split stage).
 
 All order-2 and order-3 field combinations are enumerated once, in
-lexicographic order, into a fixed channel layout: pair channels first,
-triple channels after.  Each cross is the plain Hadamard product of the
-participating field embeddings, (e_i * e_j) * e_k for a triple; the
-per-channel attention weights and the downstream network absorb any
-per-cross scaling.
+itertools.combinations order, into a fixed channel layout: pair channels
+first, triple channels after.  ``ChannelLayout.build`` alone decides the
+cross orders and the fields they need, and each branch is one
+``cross_products`` call, whose channels follow the same order.  Each cross
+is the plain Hadamard product of the participating field embeddings,
+(e_i * e_j) * e_k for a triple; the per-channel attention weights and the
+downstream network absorb any per-cross scaling.
 
 Each branch holds only its own live channels: the pair branch is
 (B,C2,k) and the triple branch (B,C3,k).  The attention layer's fuse step
@@ -15,25 +17,10 @@ joins them along the channel axis into the (B,C,k) layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from . import engine as eg
 from .errors import ShapeError
-
-
-def enumerate_pairs(num_fields: int) -> list[tuple[int, int]]:
-    """All (i,j) with i<j in lexicographic order; length f(f-1)/2."""
-    if num_fields < 2:
-        raise ShapeError("need at least 2 fields to enumerate pairs")
-    return list(combinations(range(num_fields), 2))
-
-
-def enumerate_triples(num_fields: int) -> list[tuple[int, int, int]]:
-    """All (i,j,k) with i<j<k in lexicographic order; length f(f-1)(f-2)/6."""
-    if num_fields < 3:
-        raise ShapeError("need at least 3 fields to enumerate triples")
-    return list(combinations(range(num_fields), 3))
 
 
 @dataclass(frozen=True)
@@ -50,10 +37,15 @@ class ChannelLayout:
 
     @classmethod
     def build(cls, num_fields: int, orders: tuple[int, ...] = (2, 3)) -> "ChannelLayout":
-        pairs = tuple(enumerate_pairs(num_fields)) if 2 in orders else ()
-        triples = tuple(enumerate_triples(num_fields)) if 3 in orders else ()
-        if not pairs and not triples:
-            raise ShapeError("channel layout needs at least one cross order")
+        """The layout of every cross of each order in ``orders``, a
+        non-empty selection of 2 and 3; an order-r cross needs r fields."""
+        if not orders or not set(orders) <= {2, 3}:
+            raise ShapeError(f"cross orders must be a non-empty selection of 2 and 3, got {orders}")
+        top = max(orders)
+        if num_fields < top:
+            raise ShapeError(f"order-{top} crosses need at least {top} fields, got {num_fields}")
+        pairs = tuple(combinations(range(num_fields), 2)) if 2 in orders else ()
+        triples = tuple(combinations(range(num_fields), 3)) if 3 in orders else ()
         return cls(num_fields=num_fields, pairs=pairs, triples=triples)
 
     @property
@@ -63,14 +55,6 @@ class ChannelLayout:
     @property
     def num_channels(self) -> int:
         return len(self.pairs) + len(self.triples)
-
-    @cached_property
-    def pair_index(self) -> eg.CrossIndex:
-        return eg.CrossIndex(self.pairs)
-
-    @cached_property
-    def triple_index(self) -> eg.CrossIndex:
-        return eg.CrossIndex(self.triples)
 
     def channel_fields(self, channel: int) -> tuple[int, ...]:
         if channel < len(self.pairs):
@@ -97,7 +81,7 @@ def build_branch_2(embeddings: eg.Tensor, layout: ChannelLayout) -> eg.Tensor:
     _validate_embeddings(embeddings, layout)
     if not layout.pairs:
         raise ShapeError("layout carries no pair channels")
-    return eg.cross_products(embeddings, layout.pair_index)
+    return eg.cross_products(embeddings, 2)
 
 
 def build_branch_3(embeddings: eg.Tensor, layout: ChannelLayout) -> eg.Tensor:
@@ -108,4 +92,4 @@ def build_branch_3(embeddings: eg.Tensor, layout: ChannelLayout) -> eg.Tensor:
     _validate_embeddings(embeddings, layout)
     if not layout.triples:
         raise ShapeError("layout carries no triple channels")
-    return eg.cross_products(embeddings, layout.triple_index)
+    return eg.cross_products(embeddings, 3)

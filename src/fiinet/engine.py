@@ -20,8 +20,8 @@ reaches one of these checks, and no op spends time scanning a wide
 caught, not the one that made it.  The model layer then scores the same
 rows again off the tape with ``_every_op_checked``, under which every op
 checks its output, so the error names the op that produced the value.
-Gathers and ``cross_products`` drop the rows and fields their indices do
-not name; they read leaf tables and every field in the model.
+Only the gathers drop rows, those their indices do not name, and they
+read leaf tables only; ``cross_products`` reads every field.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ import os
 import struct
 import zlib
 from contextlib import contextmanager
+from functools import cache
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -406,67 +408,48 @@ def pad_channels(x: Tensor, total: int, offset: int) -> Tensor:
     return _make(out, (x,), lambda g: (g[:, offset : offset + m, :],), "pad_channels")
 
 
-class CrossIndex:
-    """A cross index table, checked and prepared once for ``cross_products``.
+@cache
+def _cross_index(num_fields: int, order: int):
+    """Columns and runs of every ``order``-field combination of
+    ``num_fields`` fields, in itertools.combinations order.
 
-    The (C,r) table lists the fields of each channel.  Rows must be strictly
-    increasing and in strictly increasing lexicographic order, as
-    itertools.combinations yields them.  ``columns`` holds the table's r
-    columns.  Rows that share all fields but the last form a run; ``runs``
-    holds (start, stop, shared fields, last fields as a slice when they are
-    consecutive, else as an index array).
+    ``columns`` holds the r columns of the (C,r) field table.  Rows that
+    share all fields but the last form a run, and in combinations order a
+    run's last fields are consecutive: ``runs`` holds (start, stop, shared
+    fields, last fields as a slice), one per head in combinations order.
     """
-
-    def __init__(self, index_table):
-        table = np.asarray(index_table, dtype=np.intp)
-        if table.ndim != 2 or table.shape[0] == 0 or table.shape[1] < 2:
-            raise ShapeError(
-                f"a cross index table is (C,r) with C >= 1 and r >= 2, got shape {table.shape}"
-            )
-        if table.min() < 0:
-            raise ShapeError("cross index table holds a negative field index")
-        step = table[1:] - table[:-1]
-        first = (step != 0).argmax(axis=1)
-        if (np.diff(table, axis=1) <= 0).any() or (step[np.arange(len(step)), first] <= 0).any():
-            raise ShapeError(
-                "cross index rows must be strictly increasing, in lexicographic order"
-            )
-        self.num_channels = table.shape[0]
-        self.max_field = int(table.max())
-        self.columns = [np.ascontiguousarray(col) for col in table.T]
-        head = table[:, :-1]
-        new = np.ones(len(table), dtype=bool)
-        new[1:] = (head[1:] != head[:-1]).any(axis=1)
-        starts = np.flatnonzero(new).tolist()
-        self.runs: list[tuple[int, int, list[int], slice | np.ndarray]] = []
-        for start, stop in zip(starts, starts[1:] + [len(table)]):
-            last = table[start:stop, -1]
-            if last[-1] - last[0] == stop - start - 1:
-                last = slice(int(last[0]), int(last[-1]) + 1)
-            self.runs.append((start, stop, head[start].tolist(), last))
+    table = np.array(list(combinations(range(num_fields), order)), dtype=np.intp)
+    columns = [np.ascontiguousarray(col) for col in table.T]
+    runs = []
+    start = 0
+    for head in combinations(range(num_fields - 1), order - 1):
+        stop = start + num_fields - 1 - head[-1]
+        runs.append((start, stop, head, slice(head[-1] + 1, num_fields)))
+        start = stop
+    return columns, runs
 
 
-def cross_products(x: Tensor, index: CrossIndex) -> Tensor:
-    """Field crosses: (B,f,k) -> (B,C,k) for a C-channel ``CrossIndex``.
+def cross_products(x: Tensor, order: int) -> Tensor:
+    """Every ``order``-field cross: (B,f,k) -> (B,C,k), C = f choose order.
 
-    Channel c is the Hadamard product of the fields in row c, multiplied
-    left to right: (x_i * x_j) * x_k for a row (i,j,k).  Forward gathers
-    one column of fields at a time and multiplies it in place, so the
-    number of numpy calls does not grow with C.  Backward is analytic,
+    Channels follow itertools.combinations(range(f), order), and channel c
+    is the Hadamard product of its fields, multiplied left to right:
+    (x_i * x_j) * x_k for a triple (i,j,k).  Forward gathers one column of
+    fields at a time and multiplies it in place, so the number of numpy
+    calls does not grow with C.  Backward is analytic,
     dx_m += g_c * (product of the other members), run by run on
     channel-major copies: a run's shared product is made once and its last
     fields are one contiguous block.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"cross_products expects (B,f,k), got {x.data.shape}")
-    if index.max_field >= x.data.shape[1]:
-        raise ShapeError(
-            f"cross_products: field index {index.max_field} out of range for "
-            f"{x.data.shape[1]} fields"
-        )
+    f = x.data.shape[1]
+    if not 2 <= order <= f:
+        raise ShapeError(f"cross_products: order {order} is not in 2..{f} for {f} fields")
+    columns, runs = _cross_index(f, order)
     xd = x.data
-    out = np.take(xd, index.columns[0], axis=1)
-    for col in index.columns[1:]:
+    out = np.take(xd, columns[0], axis=1)
+    for col in columns[1:]:
         out *= np.take(xd, col, axis=1)
 
     def backward(g):
@@ -474,7 +457,7 @@ def cross_products(x: Tensor, index: CrossIndex) -> Tensor:
         gt = np.ascontiguousarray(np.moveaxis(g, 1, 0))
         xt = np.ascontiguousarray(np.moveaxis(xd, 1, 0))
         dxt = np.zeros_like(xt)
-        for start, stop, head, last in index.runs:
+        for start, stop, head, last in runs:
             p = xt[head[0]]
             for m in head[1:]:
                 p = p * xt[m]

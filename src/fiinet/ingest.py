@@ -68,7 +68,12 @@ class Vocabulary:
         _require_unique([s.field_name for s in schemas])
         if len(schemas) != len(maps):
             raise DataError(f"{len(schemas)} field schemas but {len(maps)} vocabulary maps")
-        for schema, mapping in zip(schemas, maps):
+        for position, (schema, mapping) in enumerate(zip(schemas, maps)):
+            if schema.field_index != position:
+                raise DataError(
+                    f"field '{schema.field_name}' has field_index {schema.field_index}, "
+                    f"but is at position {position}"
+                )
             n = len(mapping)
             if not np.array_equal(np.fromiter(mapping.values(), np.int64, n), np.arange(1, n + 1)):
                 raise DataError(

@@ -20,7 +20,7 @@ from . import engine as eg
 from . import sk_attention as sk
 from .crosses import ChannelLayout, build_branch_2, build_branch_3
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError
-from .ingest import FieldSchema
+from .ingest import FieldSchema, _require_unique
 
 VARIANTS = ("fiinet", "fiinet-sh", "fiinet-s", "fiinet-h", "lr", "fm")
 # Deep variants: the cross orders they build, and whether SK attention
@@ -127,10 +127,12 @@ class CtrModel:
     """A predictor variant bound to a field schema and a parameter store."""
 
     def __init__(self, schemas: list[FieldSchema], config: ModelConfig):
-        if config.variant == "fiinet-s" and len(schemas) < 3:
-            raise ShapeError("fiinet-s needs at least 3 fields for triple crosses")
-        if config.variant != "lr" and len(schemas) < 2:
-            raise ShapeError(f"{config.variant} needs at least 2 fields")
+        names = [s.field_name for s in schemas]
+        _require_unique(names)
+        if "bias" in names:
+            raise DataError("field name 'bias' is taken by the global bias 'linear/bias'")
+        if config.variant == "fm" and len(schemas) < 2:
+            raise ShapeError(f"fm needs at least 2 fields, got {len(schemas)}")
         self.schemas = schemas
         self.config = config
         self.num_fields = len(schemas)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from fiinet import engine as eg
-from fiinet.crosses import (
-    ChannelLayout,
-    build_branch_2,
-    build_branch_3,
-    enumerate_pairs,
-    enumerate_triples,
-)
+from fiinet.crosses import ChannelLayout, build_branch_2, build_branch_3
 from fiinet.errors import ShapeError
 from gradcheck import total
 
@@ -31,32 +25,40 @@ def brute_force_triples(E):
     return np.stack(rows)
 
 
+def pairs(num_fields):
+    return ChannelLayout.build(num_fields, (2,)).pairs
+
+
+def triples(num_fields):
+    return ChannelLayout.build(num_fields, (3,)).triples
+
+
 class TestEnumeration:
     def test_pairs_f4(self):
-        assert enumerate_pairs(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
     def test_pairs_f2(self):
-        assert enumerate_pairs(2) == [(0, 1)]
+        assert pairs(2) == ((0, 1),)
 
     def test_pairs_f10_length(self):
-        assert len(enumerate_pairs(10)) == 45
+        assert len(pairs(10)) == 45
 
     def test_pairs_too_few_fields(self):
-        with pytest.raises(ShapeError, match="at least 2 fields"):
-            enumerate_pairs(1)
+        with pytest.raises(ShapeError, match="^order-2 crosses need at least 2 fields, got 1$"):
+            pairs(1)
 
     def test_triples_f4(self):
-        assert enumerate_triples(4) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        assert triples(4) == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
     def test_triples_f3(self):
-        assert enumerate_triples(3) == [(0, 1, 2)]
+        assert triples(3) == ((0, 1, 2),)
 
     def test_triples_f6_length(self):
-        assert len(enumerate_triples(6)) == 20
+        assert len(triples(6)) == 20
 
     def test_triples_too_few_fields(self):
-        with pytest.raises(ShapeError):
-            enumerate_triples(2)
+        with pytest.raises(ShapeError, match="^order-3 crosses need at least 3 fields, got 2$"):
+            triples(2)
 
     @pytest.mark.parametrize("f", range(3, 9))
     def test_channel_counts(self, f):
@@ -164,3 +166,15 @@ class TestBranchTensors:
             build_branch_3(E, pair_only)
         triple_only = ChannelLayout.build(4, orders=(3,))
         assert build_branch_3(E, triple_only).data.shape == (2, 4, 3)
+
+
+class TestLayoutOrders:
+    @pytest.mark.parametrize("orders", [(), (4,), (2, 4), (1, 2)])
+    def test_refuses_orders_other_than_2_and_3(self, orders):
+        with pytest.raises(ShapeError, match="non-empty selection of 2 and 3"):
+            ChannelLayout.build(5, orders)
+
+    @pytest.mark.parametrize("orders", [(2, 3), (3, 2)])
+    def test_field_minimum_is_that_of_the_highest_order(self, orders):
+        with pytest.raises(ShapeError, match="^order-3 crosses need at least 3 fields, got 2$"):
+            ChannelLayout.build(2, orders)

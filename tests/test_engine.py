@@ -153,15 +153,10 @@ class TestPrimitiveGradients:
     def test_pad_channels(self):
         check_op(lambda ts: eg.pad_channels(ts[0], 5, 2), [randn(2, 3, 4)])
 
-    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("order", [2, 3, 4])
     def test_cross_products(self, order):
-        index = eg.CrossIndex(list(combinations(range(5), order)))
-        check_op(lambda ts: eg.cross_products(ts[0], index), [randn(2, 5, 3)])
-
-    def test_cross_products_gapped_table(self):
-        # last fields that are not consecutive, and runs of one row
-        index = eg.CrossIndex([(0, 1, 3), (0, 1, 4), (0, 2, 4), (1, 3, 4)])
-        check_op(lambda ts: eg.cross_products(ts[0], index), [randn(2, 5, 3)])
+        # at order 4 a run's head holds three fields
+        check_op(lambda ts: eg.cross_products(ts[0], order), [randn(2, 5, 3)])
 
     def test_concat_channels(self):
         check_op(
@@ -301,15 +296,34 @@ class TestOpSemantics:
 
     def test_cross_products_values_and_errors(self):
         x = eg.Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
-        out = eg.cross_products(x, eg.CrossIndex([(0, 1), (0, 2), (1, 2)]))
+        out = eg.cross_products(x, 2)
         assert np.array_equal(out.data, [[[3.0, 8.0], [5.0, 12.0], [15.0, 24.0]]])
-        out = eg.cross_products(x, eg.CrossIndex([(0, 1, 2)]))
+        out = eg.cross_products(x, 3)
         assert np.array_equal(out.data, [[[15.0, 48.0]]])
-        for bad in ([(1, 0)], [(0, 2), (0, 1)], [(0, 1), (0, 1)], [(0,)], [(-1, 0)]):
-            with pytest.raises(ShapeError):
-                eg.CrossIndex(bad)
-        with pytest.raises(ShapeError, match="out of range"):
-            eg.cross_products(x, eg.CrossIndex([(0, 3)]))
+        for bad in (1, 4):
+            with pytest.raises(ShapeError, match=f"order {bad} is not in 2..3 for 3 fields"):
+                eg.cross_products(x, bad)
+        with pytest.raises(ShapeError, match="expects"):
+            eg.cross_products(eg.Tensor(np.ones((2, 3))), 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("f,order", [(f, r) for f in range(2, 7) for r in range(2, f + 1)])
+    def test_cross_products_follows_combinations_order(self, f, order, dtype):
+        # the channel order ChannelLayout, the benchmark's reference model and
+        # the attention report all assume; r = f gives one channel
+        x = np.random.default_rng(10 * f + order).standard_normal((3, f, 4)).astype(dtype)
+        expect = []
+        for fields in combinations(range(f), order):
+            product = x[:, fields[0]]
+            for m in fields[1:]:
+                product = product * x[:, m]
+            expect.append(product)
+        out = eg.cross_products(eg.Tensor(x), order).data
+        assert out.dtype == dtype and out.shape == (3, math.comb(f, order), 4)
+        assert out.tobytes() == np.stack(expect, axis=1).tobytes()
+        for bad in (0, 1, f + 1):
+            with pytest.raises(ShapeError, match=f"order {bad} is not in 2..{f}"):
+                eg.cross_products(eg.Tensor(x), bad)
 
     def test_deterministic_backward(self):
         x = np.linspace(-1, 1, 12).reshape(3, 4)

@@ -513,6 +513,13 @@ class TestVocabularyFile:
         with pytest.raises(DataError, match="field 'f' has cardinality 5, but 1 values$"):
             ingest.Vocabulary([ingest.FieldSchema("f", 0, 5)], [{"a": 1}])
 
+    def test_constructor_refuses_a_field_index_other_than_the_position(self):
+        with pytest.raises(DataError, match="field 'f' has field_index 3, but is at position 0$"):
+            ingest.Vocabulary([ingest.FieldSchema("f", 3, 2)], [{"a": 1}])
+        schemas = [ingest.FieldSchema("f", 1, 2), ingest.FieldSchema("g", 0, 2)]
+        with pytest.raises(DataError, match="field 'f' has field_index 1, but is at position 0$"):
+            ingest.Vocabulary(schemas, [{"a": 1}, {"b": 1}])
+
     def test_constructor_refuses_unpaired_schemas_and_maps(self):
         schemas = [ingest.FieldSchema("f", 0, 2), ingest.FieldSchema("g", 1, 2)]
         with pytest.raises(DataError, match="2 field schemas but 1 vocabulary maps$"):

@@ -206,6 +206,33 @@ def test_deep_variants_cross_orders_and_attention(variant, pairs, triples, atten
                 model.batch_attention(rows)
 
 
+@pytest.mark.parametrize("variant", ["fiinet", "fiinet-sh", "fiinet-s"])
+def test_triple_crosses_at_two_fields_raise_the_layout_error(variant):
+    schemas = [FieldSchema(f"f{i}", i, CARDINALITY) for i in range(2)]
+    with pytest.raises(ShapeError, match="^order-3 crosses need at least 3 fields, got 2$"):
+        CtrModel(schemas, ModelConfig(variant=variant))
+
+
+@pytest.mark.parametrize("variant,message", [
+    ("fm", "^fm needs at least 2 fields, got 1$"),
+    ("fiinet-h", "^order-2 crosses need at least 2 fields, got 1$"),
+])
+def test_crosses_at_one_field_raise(variant, message):
+    with pytest.raises(ShapeError, match=message):
+        CtrModel([FieldSchema("f0", 0, CARDINALITY)], ModelConfig(variant=variant))
+
+
+@pytest.mark.parametrize("variant", ["lr", "fiinet"])
+@pytest.mark.parametrize("names,message", [
+    (["f0", "bias", "f2"], "field name 'bias' is taken by the global bias"),
+    (["f0", "f1", "f0"], "duplicate field name 'f0'"),
+])
+def test_field_names_that_would_share_a_parameter_name(variant, names, message):
+    schemas = [FieldSchema(n, i, CARDINALITY) for i, n in enumerate(names)]
+    with pytest.raises(DataError, match=message):
+        CtrModel(schemas, ModelConfig(variant=variant))
+
+
 def count_blocks(monkeypatch, model, name, blocks):
     """Record the rows of every block passed to ``model.<name>``."""
     real = getattr(model, name)

@@ -38,7 +38,6 @@ def everywhere(shape):
     return list(np.ndindex(*shape))
 
 
-PAIR_INDEX = eg.CrossIndex([(0, 1), (1, 3)])  # field 2 unread
 TAKEN = np.array([2, 0, 2])  # field 1 unread
 GATHERED = np.array([[0, 2], [2, 4]])  # rows 1 and 3 unread
 FIELD_ROWS = np.array([[0, 1], [3, 1], [0, 4]])
@@ -72,10 +71,7 @@ OP_CASES = {
         [[p for p in everywhere((2, 3, 4)) if p[1] != 1]],
     ),
     "pad_channels": (lambda x: eg.pad_channels(x, 4, 1), [values((2, 2, 3))], None),
-    "cross_products": (
-        lambda x: eg.cross_products(x, PAIR_INDEX), [values((2, 4, 3))],
-        [[p for p in everywhere((2, 4, 3)) if p[1] != 2]],
-    ),
+    "cross_products": (lambda x: eg.cross_products(x, 2), [values((2, 4, 3))], None),
     "concat_channels": (
         lambda *ts: eg.concat_channels(list(ts)), [values((2, 1, 3)), values((2, 2, 3), 1)], None,
     ),
