@@ -10,8 +10,8 @@ is the plain Hadamard product of the participating field embeddings,
 downstream network absorb any per-cross scaling.
 
 Each branch holds only its own live channels: the pair branch is
-(B,C2,k) and the triple branch (B,C3,k).  The attention layer's fuse step
-joins them along the channel axis into the (B,C,k) layout.
+(B,C2,k) and the triple branch (B,C3,k).  The model joins them along the
+channel axis into the (B,C,k) layout, the attention layer's Fuse.
 """
 
 from __future__ import annotations

@@ -272,7 +272,7 @@ def _sigmoid_values(z: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    """Logistic function, output clamped into (eps, 1-eps) for loss safety."""
+    """Logistic function, output clamped into [eps, 1-eps] for loss safety."""
     _check_input(a.data, "sigmoid")
     p = _sigmoid_values(a.data)
     np.clip(p, SIGMOID_EPS, 1.0 - SIGMOID_EPS, out=p)

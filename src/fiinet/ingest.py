@@ -31,9 +31,12 @@ class FieldSchema:
     cardinality: int  # distinct values + the reserved OOV slot
 
     def __post_init__(self):
-        if self.cardinality < 2:
+        c = self.cardinality
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            raise DataError(f"field '{self.field_name}' has cardinality {c!r}; need an int")
+        if c < 2:
             raise DataError(
-                f"field '{self.field_name}' has cardinality {self.cardinality}; "
+                f"field '{self.field_name}' has cardinality {c}; "
                 "need the OOV slot plus at least one value"
             )
 

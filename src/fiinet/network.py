@@ -131,6 +131,8 @@ class CtrModel:
         _require_unique(names)
         if "bias" in names:
             raise DataError("field name 'bias' is taken by the global bias 'linear/bias'")
+        if not schemas:
+            raise ShapeError(f"{config.variant} needs at least 1 field, got 0")
         if config.variant == "fm" and len(schemas) < 2:
             raise ShapeError(f"fm needs at least 2 fields, got {len(schemas)}")
         self.schemas = schemas
@@ -240,7 +242,9 @@ class CtrModel:
             return build_branch_2(emb, self.layout)
         if not self.layout.pairs:
             return build_branch_3(emb, self.layout)
-        return sk.fuse(build_branch_2(emb, self.layout), build_branch_3(emb, self.layout))
+        return eg.concat_channels(
+            [build_branch_2(emb, self.layout), build_branch_3(emb, self.layout)]
+        )
 
     def attention_weights(self, emb: eg.Tensor):
         """(fused, a, b) for the full attention variant: the (B,C,k) cross
@@ -248,9 +252,7 @@ class CtrModel:
         if self.sk_params is None:
             raise ShapeError(f"variant '{self.config.variant}' has no attention weights")
         fused = self._cross_channels(emb)
-        stats = sk.global_pool(fused)
-        descriptor = sk.reduce_descriptor(stats, self.sk_params.w1)
-        a, b = sk.select_softmax(descriptor, self.sk_params.branch_a, self.sk_params.branch_b)
+        a, b = sk.select_weights(fused, self.sk_params)
         return fused, a, b
 
     # -- public API ------------------------------------------------------

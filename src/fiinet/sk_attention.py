@@ -1,13 +1,13 @@
-"""Selective-kernel attention over cross channels (the Fuse and Select stages).
+"""Selective-kernel attention over cross channels (the Select stage).
 
-Fuse joins the pair branch (B,C2,k) and the triple branch (B,C3,k) along
-the channel axis into the (B,C,k) cross channels, pools each channel to its
-global mean, and squeezes the C-length statistic through a
-reduce/excite bottleneck.  Select scores every channel with two branch
-matrices and normalizes the pair of logits with a two-way softmax,
-yielding convex weights (a_c, b_c) per channel.  Each channel belongs to
-one branch, so the output map scales it by one weight: a_c on pair
-channels, b_c on triple channels.
+The model joins the pair branch (B,C2,k) and the triple branch (B,C3,k)
+along the channel axis into the (B,C,k) cross channels, SKNet's Fuse.
+``select_weights`` then pools each channel to its global mean, squeezes
+the C-length statistic through a reduce/excite bottleneck, scores every
+channel with two branch matrices and normalizes the pair of logits with a
+two-way softmax, yielding convex weights (a_c, b_c) per channel.  Each
+channel belongs to one branch, so the output map scales it by one weight:
+a_c on pair channels, b_c on triple channels.
 
 The two-way softmax is computed as a sigmoid of the logit difference, which
 is the max-subtraction form, and the second weight as 1 - a_c, so the pair
@@ -24,6 +24,7 @@ import numpy as np
 from . import engine as eg
 from .crosses import ChannelLayout
 from .errors import DataError, ShapeError
+from .ingest import _ESCAPES
 
 REDUCTION_RATIO = 3
 DEFAULT_MIN_REDUCED_DIM = 8
@@ -72,34 +73,20 @@ def init_sk_params(
     return SkParams(w1=w1, branch_a=branch_a, branch_b=branch_b)
 
 
-def fuse(branch2: eg.Tensor, branch3: eg.Tensor) -> eg.Tensor:
-    """Pair channels then triple channels: (B,C2,k) and (B,C3,k) -> (B,C,k)."""
-    return eg.concat_channels([branch2, branch3])
+def select_weights(fused: eg.Tensor, params: SkParams):
+    """Per-channel select weights (a, b), each (B,C), of (B,C,k) channels.
 
-
-def global_pool(fused: eg.Tensor) -> eg.Tensor:
-    """Compress (B,C,k) to per-channel statistics (B,C) by global average
-    pooling, as SKNet squeezes each channel."""
-    if fused.data.ndim != 3:
-        raise ShapeError(f"global_pool expects (B,C,k), got {fused.data.shape}")
-    return eg.mean_lastdim(fused)
-
-
-def reduce_descriptor(stats: eg.Tensor, w1: eg.Tensor) -> eg.Tensor:
-    """Squeeze the channel statistics: s = relu(w1 . Z), batched (B,C)->(B,d)."""
-    return eg.relu(eg.linear(stats, w1))
-
-
-def select_softmax(descriptor: eg.Tensor, branch_a: eg.Tensor, branch_b: eg.Tensor):
-    """Per-channel two-way softmax over the branch logits.
-
-    Returns (a, b), each (B,C), with a_c + b_c = 1 exactly and both in (0,1).
+    Squeeze each channel to its global mean Z (B,C), reduce it to the
+    descriptor s = relu(w1 . Z) (B,d), and take the two-way softmax of the
+    branch logits A.s and B.s: a_c + b_c = 1 exactly and both in (0,1).
     """
-    logits_a = eg.linear(descriptor, branch_a)
-    logits_b = eg.linear(descriptor, branch_b)
+    if fused.data.ndim != 3:
+        raise ShapeError(f"select_weights expects (B,C,k), got {fused.data.shape}")
+    descriptor = eg.relu(eg.linear(eg.mean_lastdim(fused), params.w1))
+    logits_a = eg.linear(descriptor, params.branch_a)
+    logits_b = eg.linear(descriptor, params.branch_b)
     a = eg.sigmoid(eg.sub(logits_a, logits_b))
-    b = eg.one_minus(a)
-    return a, b
+    return a, eg.one_minus(a)
 
 
 def apply_select(fused: eg.Tensor, a: eg.Tensor, b: eg.Tensor, num_pairs: int) -> eg.Tensor:
@@ -128,13 +115,18 @@ def write_attention_report(
     weights_before: np.ndarray,
     weights_after: np.ndarray,
 ) -> None:
-    """Per-channel interpretability report, one row per cross combination."""
+    """Per-channel interpretability report, one row per cross combination.
+
+    Field names are written with ``Vocabulary.save``'s escapes, so a tab,
+    newline or backslash in a name cannot break a row.  The names of a
+    cross are joined by commas, so a name holding a comma stays ambiguous.
+    """
     if len(weights_before) != layout.num_channels or len(weights_after) != layout.num_channels:
         raise ShapeError("weight vectors must have one entry per channel")
     with open(path, "w", encoding="utf-8") as f:
         f.write("channel\torder\tfields\tweight_before\tweight_after\n")
         for c in range(layout.num_channels):
-            names = ",".join(field_names[i] for i in layout.channel_fields(c))
+            names = ",".join(field_names[i].translate(_ESCAPES) for i in layout.channel_fields(c))
             f.write(
                 f"{c}\t{layout.channel_order(c)}\t{names}"
                 f"\t{weights_before[c]:.6f}\t{weights_after[c]:.6f}\n"

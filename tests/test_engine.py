@@ -225,6 +225,21 @@ class TestOpSemantics:
         with pytest.raises(ShapeError):
             eg.scale_channels(eg.Tensor(np.zeros((2, 3, 4))), eg.Tensor(np.zeros((2, 4))))
 
+    def test_concat_channels_refuses_mismatched_inputs(self):
+        cases = [
+            [np.zeros((2, 4, 3)), np.zeros((2, 5, 4))],  # trailing axes differ
+            [np.zeros((2, 4, 3)), np.zeros((3, 5, 3))],  # batch axes differ
+            [np.zeros((2, 4, 3)), np.zeros((2, 5, 3), np.float32)],
+            [np.zeros(2), np.zeros(2)],  # no channel axis
+        ]
+        for arrays in cases:
+            with pytest.raises(ShapeError, match="concat_channels: inputs must agree"):
+                eg.concat_channels([eg.Tensor(a) for a in arrays])
+
+    def test_concat_channels_refuses_an_empty_list(self):
+        with pytest.raises(ShapeError, match="needs at least one tensor"):
+            eg.concat_channels([])
+
     def test_no_silent_broadcast(self):
         with pytest.raises(ShapeError):
             eg.mul(eg.Tensor(np.zeros((2, 3))), eg.Tensor(np.zeros((3,))))

@@ -437,6 +437,21 @@ class TestFileRoundTrips:
             ingest.load_prepared(tmp_path)
 
 
+class TestFieldSchema:
+    @pytest.mark.parametrize("cardinality", [5.5, 7.0, "7", None, True])
+    def test_refuses_a_cardinality_that_is_not_an_int(self, cardinality):
+        message = f"field 'a' has cardinality {re.escape(repr(cardinality))}; need an int$"
+        with pytest.raises(DataError, match=message):
+            ingest.FieldSchema("a", 0, cardinality)
+
+    def test_accepts_numpy_ints(self):
+        assert ingest.FieldSchema("a", 0, np.int64(7)).cardinality == 7
+
+    def test_refuses_fewer_than_2_slots(self):
+        with pytest.raises(DataError, match="field 'a' has cardinality 1; need the OOV slot"):
+            ingest.FieldSchema("a", 0, 1)
+
+
 class TestVocabularyFile:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.text(), min_size=1, max_size=8, unique=True), st.lists(st.text(), min_size=1, max_size=4, unique=True))

@@ -222,6 +222,12 @@ def test_crosses_at_one_field_raise(variant, message):
         CtrModel([FieldSchema("f0", 0, CARDINALITY)], ModelConfig(variant=variant))
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_zero_fields_are_refused_at_construction(variant):
+    with pytest.raises(ShapeError, match=f"^{variant} needs at least 1 field, got 0$"):
+        CtrModel([], ModelConfig(variant=variant))
+
+
 @pytest.mark.parametrize("variant", ["lr", "fiinet"])
 @pytest.mark.parametrize("names,message", [
     (["f0", "bias", "f2"], "field name 'bias' is taken by the global bias"),

@@ -1,4 +1,5 @@
-"""Fuse/Select stage: pooling, bottleneck, two-way softmax, weighted map."""
+"""Fuse/Select stage: the channel join, pooling, bottleneck, two-way
+softmax and weighted map, and the per-channel attention report."""
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ def rand(*shape, seed=0):
 
 
 class TestFuse:
+    # the model's Fuse stage: pair channels then triple channels, joined by
+    # eg.concat_channels; its refusals are tested in tests/test_engine.py
     def test_fuse_equals_concat_of_live_channels(self):
         layout = ChannelLayout.build(4)
         E = eg.Tensor(rand(3, 4, 5, seed=1))
         u2 = build_branch_2(E, layout)
         u3 = build_branch_3(E, layout)
-        fused = sk.fuse(u2, u3).data
+        fused = eg.concat_channels([u2, u3]).data
         # independent concat oracle
         concat = np.concatenate([u2.data, u3.data], axis=1)
         assert np.array_equal(fused, concat)
@@ -28,31 +31,56 @@ class TestFuse:
         assert np.array_equal(fused[:, : layout.num_pairs], u2.data)
 
     def test_fuse_zero_branches(self):
-        fused = sk.fuse(eg.Tensor(np.zeros((2, 1, 3))), eg.Tensor(np.zeros((2, 3, 3))))
+        fused = eg.concat_channels([eg.Tensor(np.zeros((2, 1, 3))), eg.Tensor(np.zeros((2, 3, 3)))])
         assert np.array_equal(fused.data, np.zeros((2, 4, 3)))
 
-    def test_fuse_layout_mismatch(self):
-        with pytest.raises(ShapeError):
-            sk.fuse(eg.Tensor(np.zeros((2, 4, 3))), eg.Tensor(np.zeros((2, 5, 4))))
-        with pytest.raises(ShapeError):
-            sk.fuse(eg.Tensor(np.zeros((2, 4, 3))), eg.Tensor(np.zeros((3, 5, 3))))
+
+def params(w1, branch_a, branch_b):
+    return sk.SkParams(eg.Tensor(w1), eg.Tensor(branch_a), eg.Tensor(branch_b))
+
+
+def descriptor_of(fused, w1):
+    """The descriptor relu(w1 . mean_k(fused)), read back from
+    ``select_weights``: with A = I and B = 0 each channel's logit difference
+    is its descriptor entry, so log(a/b) recovers it (0 past the d-th)."""
+    d, C = w1.shape
+    a, b = sk.select_weights(eg.Tensor(fused), params(w1, np.eye(C, d), np.zeros((C, d))))
+    return np.log(a.data / b.data)
+
+
+def select(descriptor, branch_a, branch_b):
+    """``select_weights`` on channels whose pooled statistic is
+    ``descriptor``, padded with zero channels to the C rows of the branch
+    matrices.  Each channel is constant along k, so its mean is exact, and
+    with w1 the (d,C) identity and relu a no-op on a descriptor >= 0, the
+    descriptor reaches the branch logits unchanged."""
+    assert (descriptor >= 0).all()
+    batch, d = descriptor.shape
+    C = branch_a.shape[0]
+    stats = np.zeros((batch, C))
+    stats[:, :d] = descriptor
+    fused = np.repeat(stats[:, :, None], 2, axis=2)
+    return sk.select_weights(eg.Tensor(fused), params(np.eye(d, C), branch_a, branch_b))
 
 
 class TestPooling:
     def test_mean_example(self):
-        u = eg.Tensor(np.array([[[2.0, 4.0, 6.0]]]))
-        assert sk.global_pool(u).data[0, 0] == pytest.approx(4.0)
+        u = np.array([[[2.0, 4.0, 6.0]]])
+        assert descriptor_of(u, np.eye(1))[0, 0] == pytest.approx(4.0)
 
     def test_zero_and_constant_channels(self):
         u = np.zeros((1, 2, 3))
         u[0, 1] = 7.5
-        z = sk.global_pool(eg.Tensor(u)).data
+        z = descriptor_of(u, np.eye(2))
         assert z[0, 0] == 0.0
         assert z[0, 1] == pytest.approx(7.5)
 
     def test_empty_embedding_axis(self):
+        p = params(np.eye(2), np.eye(2), np.zeros((2, 2)))
         with pytest.raises(ShapeError):
-            sk.global_pool(eg.Tensor(np.zeros((1, 2, 0))))
+            sk.select_weights(eg.Tensor(np.zeros((1, 2, 0))), p)
+        with pytest.raises(ShapeError, match=r"expects \(B,C,k\)"):
+            sk.select_weights(eg.Tensor(np.zeros((1, 2))), p)
 
 
 class TestReducedDim:
@@ -72,59 +100,49 @@ class TestReducedDim:
 
 class TestReduce:
     def test_zero_matrix_gives_zero(self):
-        z = eg.Tensor(rand(4, 6, seed=2))
-        w1 = eg.Tensor(np.zeros((3, 6)))
-        assert np.array_equal(sk.reduce_descriptor(z, w1).data, np.zeros((4, 3)))
+        fused = rand(4, 6, 3, seed=2)
+        assert np.array_equal(descriptor_of(fused, np.zeros((3, 6))), np.zeros((4, 6)))
 
     def test_relu_clamps_negatives(self):
-        z = eg.Tensor(np.ones((1, 2)))
-        w1 = eg.Tensor(np.array([[-1.0, -2.0], [1.0, 1.0]]))
-        s = sk.reduce_descriptor(z, w1).data
+        fused = np.ones((1, 2, 3))
+        s = descriptor_of(fused, np.array([[-1.0, -2.0], [1.0, 1.0]]))
         assert s[0, 0] == 0.0
         assert s[0, 1] == pytest.approx(2.0)
 
 
 class TestSelectSoftmax:
     def test_equal_logits_give_half(self):
-        s = eg.Tensor(rand(3, 4, seed=5))
-        m = eg.Tensor(rand(6, 4, seed=6))
-        a, b = sk.select_softmax(s, m, m)
+        s = np.abs(rand(3, 4, seed=5))
+        m = rand(6, 4, seed=6)
+        a, b = select(s, m, m)
         assert np.allclose(a.data, 0.5)
         assert np.allclose(b.data, 0.5)
 
     def test_log2_gap_gives_two_thirds(self):
         # one channel, logit difference ln 2 -> weights (2/3, 1/3)
-        s = eg.Tensor(np.array([[1.0]]))
-        a_mat = eg.Tensor(np.array([[np.log(2.0)]]))
-        b_mat = eg.Tensor(np.array([[0.0]]))
-        a, b = sk.select_softmax(s, a_mat, b_mat)
+        a, b = select(np.array([[1.0]]), np.array([[np.log(2.0)]]), np.array([[0.0]]))
         assert a.data[0, 0] == pytest.approx(2.0 / 3.0)
         assert b.data[0, 0] == pytest.approx(1.0 / 3.0)
 
     def test_sums_to_one_exactly(self):
-        s = eg.Tensor(rand(8, 5, seed=7) * 3)
-        a_mat = eg.Tensor(rand(12, 5, seed=8))
-        b_mat = eg.Tensor(rand(12, 5, seed=9))
-        a, b = sk.select_softmax(s, a_mat, b_mat)
+        s = np.abs(rand(8, 5, seed=7)) * 3
+        a, b = select(s, rand(12, 5, seed=8), rand(12, 5, seed=9))
         assert np.abs(a.data + b.data - 1.0).max() == 0.0
         assert ((a.data > 0) & (a.data < 1)).all()
 
     def test_shift_invariance(self):
         # adding a constant to both logits of a channel leaves weights unchanged
-        s = eg.Tensor(np.array([[1.0, -2.0]]))
+        s = np.array([[1.0, 2.0]])
         a_mat = rand(3, 2, seed=10)
         b_mat = rand(3, 2, seed=11)
-        a1, _ = sk.select_softmax(s, eg.Tensor(a_mat), eg.Tensor(b_mat))
+        a1, _ = select(s, a_mat, b_mat)
         # shifting a row of A and B by the same vector shifts both logits equally
         shift = np.array([0.7, 0.7])
-        a2, _ = sk.select_softmax(s, eg.Tensor(a_mat + shift), eg.Tensor(b_mat + shift))
+        a2, _ = select(s, a_mat + shift, b_mat + shift)
         np.testing.assert_allclose(a1.data, a2.data, rtol=1e-12)
 
     def test_extreme_logits_stay_finite_and_open(self):
-        s = eg.Tensor(np.array([[100.0]]))
-        a_mat = eg.Tensor(np.array([[10.0]]))
-        b_mat = eg.Tensor(np.array([[-10.0]]))
-        a, b = sk.select_softmax(s, a_mat, b_mat)
+        a, b = select(np.array([[100.0]]), np.array([[10.0]]), np.array([[-10.0]]))
         assert 0.0 < a.data[0, 0] < 1.0
         assert 0.0 < b.data[0, 0] < 1.0
 
@@ -171,7 +189,7 @@ class TestApplySelect:
         u2, u3 = build_branch_2(E, layout), build_branch_3(E, layout)
         aw = rng.uniform(0.01, 0.99, (3, layout.num_channels))
         v = sk.apply_select(
-            sk.fuse(u2, u3), eg.Tensor(aw), eg.Tensor(1.0 - aw), layout.num_pairs
+            eg.concat_channels([u2, u3]), eg.Tensor(aw), eg.Tensor(1.0 - aw), layout.num_pairs
         ).data
         pad2 = np.zeros((3, layout.num_channels, 5))
         pad2[:, : layout.num_pairs] = u2.data
@@ -198,8 +216,7 @@ class TestInitAndEndToEnd:
         assert np.array_equal(params.branch_a.data, params.branch_b.data)
         assert params.w1.data.shape == (sk.reduced_dim(20, 8), 20)
         # fresh init means every channel weight is exactly 0.5
-        s = eg.Tensor(rand(5, 8, seed=3))
-        a, b = sk.select_softmax(s, params.branch_a, params.branch_b)
+        a, b = sk.select_weights(eg.Tensor(rand(5, 20, 4, seed=3)), params)
         assert np.all(a.data == 0.5) and np.all(b.data == 0.5)
 
     def test_full_layer_gradients_pass_fd_check(self):
@@ -211,10 +228,8 @@ class TestInitAndEndToEnd:
         target = rand(3, layout.num_channels, 4, seed=9)
 
         def loss_fn():
-            fused = sk.fuse(build_branch_2(E, layout), build_branch_3(E, layout))
-            z = sk.global_pool(fused)
-            s = sk.reduce_descriptor(z, sk_params.w1)
-            a, b = sk.select_softmax(s, sk_params.branch_a, sk_params.branch_b)
+            fused = eg.concat_channels([build_branch_2(E, layout), build_branch_3(E, layout)])
+            a, b = sk.select_weights(fused, sk_params)
             v = sk.apply_select(fused, a, b, layout.num_pairs)
             diff = eg.sub(v, eg.Tensor(target))
             return eg.mean_all(eg.mul(diff, diff))
@@ -247,3 +262,16 @@ class TestWeightExport:
         assert len(lines) == 1 + C
         assert lines[0].split("\t") == ["channel", "order", "fields", "weight_before", "weight_after"]
         assert lines[1].startswith("0\t2\tf0,f1\t0.500000")
+
+    def test_report_escapes_field_names(self, tmp_path):
+        # a tab or newline in a name would add a column or split a row
+        layout = ChannelLayout.build(3)
+        path = tmp_path / "attention.tsv"
+        names = ["a\tb", "c\nd", "e\\f"]
+        sk.write_attention_report(path, layout, names, np.full(4, 0.5), np.full(4, 0.5))
+        rows = [line.split("\t") for line in path.read_text(encoding="utf-8").split("\n")[:-1]]
+        assert len(rows) == 1 + layout.num_channels
+        assert all(len(row) == 5 for row in rows)
+        assert [row[2] for row in rows[1:]] == [
+            "a\\tb,c\\nd", "a\\tb,e\\\\f", "c\\nd,e\\\\f", "a\\tb,c\\nd,e\\\\f"
+        ]
