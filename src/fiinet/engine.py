@@ -30,7 +30,7 @@ import math
 import os
 import struct
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import cache
 from itertools import combinations
 from typing import Callable
@@ -746,18 +746,31 @@ _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 
 def save_checkpoint(path, params: ParameterStore) -> None:
-    """Binary dump: magic, version, dtype code, then length-prefixed records."""
+    """Binary dump: magic, version, dtype code, then length-prefixed records.
+
+    The dump goes to a temporary file beside ``path`` that replaces it only
+    once complete, so a failed save raises CheckpointError naming the path
+    and leaves any earlier checkpoint there as it was.
+    """
     code = _DTYPE_CODES[params.dtype]
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<III", CHECKPOINT_VERSION, code, len(params)))
-        for name, t in params.items():
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<I", t.data.ndim))
-            f.write(struct.pack(f"<{t.data.ndim}Q", *t.data.shape))
-            f.write(np.ascontiguousarray(t.data).astype(_CODE_DTYPES[code], copy=False).tobytes())
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<III", CHECKPOINT_VERSION, code, len(params)))
+            for name, t in params.items():
+                raw = name.encode("utf-8")
+                f.write(struct.pack("<I", len(raw)))
+                f.write(raw)
+                f.write(struct.pack("<I", t.data.ndim))
+                f.write(struct.pack(f"<{t.data.ndim}Q", *t.data.shape))
+                f.write(np.ascontiguousarray(t.data).astype(_CODE_DTYPES[code], copy=False).tobytes())
+        os.replace(tmp, path)
+    except Exception as exc:
+        raise CheckpointError(f"cannot save checkpoint {path}: {exc}") from exc
+    finally:
+        with suppress(FileNotFoundError):  # gone once it replaced path
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.dtype]:

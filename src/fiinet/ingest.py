@@ -1,9 +1,9 @@
 """Raw interaction tables to encoded datasets.
 
 Builds per-field vocabularies (index 0 reserved for out-of-vocabulary),
-binarizes labels with a strict greater-than threshold, bucketizes numeric
-attribute columns into quantile bins so the model only ever sees
-categorical fields, and writes seeded train/valid/test splits.
+binarizes labels with a strict greater-than threshold, and writes seeded
+train/valid/test splits.  Every field is categorical: each distinct value
+of a column is one category.
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ class Vocabulary:
 
     def decode_value(self, field: int, index: int) -> str | None:
         """Inverse of encode_row for in-vocabulary indices; OOV decodes to None."""
+        if not 0 <= field < self.num_fields:
+            raise DataError(f"no field {field}: the vocabulary has {self.num_fields} fields")
         values = self._values[field]
         return values[index - 1] if 0 < index <= len(values) else None
 
@@ -260,31 +262,6 @@ def binarize_label(scores, threshold: float) -> np.ndarray:
     return (scores > threshold).astype(np.int64)
 
 
-def bucketize_numeric(values: list[str], num_bins: int) -> list[str]:
-    """Map a numeric column to quantile-bin labels, usable as categories.
-
-    Unparsable and non-finite entries get their own 'nan' token.
-    """
-    if not isinstance(num_bins, (int, np.integer)) or num_bins < 2:
-        raise DataError(f"need at least 2 bins, got {num_bins!r}")
-    parsed = np.fromiter(map(_float_or_nan, values), np.float64, len(values))
-    finite = np.isfinite(parsed)
-    if not finite.any():
-        return ["nan"] * len(values)
-    edges = np.unique(np.quantile(parsed[finite], np.linspace(0, 1, num_bins + 1)[1:-1]))
-    labels = [f"b{i}" for i in range(len(edges) + 1)] + ["nan"]
-    codes = np.full(len(values), len(edges) + 1)
-    codes[finite] = np.searchsorted(edges, parsed[finite], side="right")
-    return list(map(labels.__getitem__, codes.tolist()))
-
-
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
-
-
 def split_dataset(
     dataset: EncodedDataset, ratios: tuple[float, float, float], seed: int
 ) -> DatasetSplit:
@@ -355,8 +332,6 @@ def encode_table(
     label_column: str,
     field_columns: list[str],
     threshold: float,
-    numeric_fields: list[str] | None = None,
-    numeric_bins: int = 10,
 ) -> tuple[Vocabulary, EncodedDataset]:
     """Vocabulary build plus full encode of one raw table.  A field's values
     take the indices 1, 2, 3, ... in the order they first appear."""
@@ -364,15 +339,12 @@ def encode_table(
     missing = [c for c in [label_column, *field_columns] if c not in header]
     if missing:
         raise DataError(f"missing columns: {', '.join(missing)}")
+    if label_column in field_columns:
+        raise DataError(f"label column '{label_column}' is also a field column")
     col_of = {name: j for j, name in enumerate(header)}
     table = _columns(rows, len(header))
 
     columns = {name: table[col_of[name]] for name in field_columns}
-    _require_unique(numeric_fields or [], "numeric fields: ")
-    for name in numeric_fields or []:
-        if name not in columns:
-            raise DataError(f"numeric field '{name}' is not a field column")
-        columns[name] = bucketize_numeric(columns[name], numeric_bins)
     if not rows:
         raise DataError("empty dataset")
     maps = []

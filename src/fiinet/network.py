@@ -33,7 +33,6 @@ DEEP_VARIANTS = {
 }
 PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
-PROB_EPS = 1e-7
 # Evaluation scores rows in blocks whose widest intermediate takes at most
 # this many bytes.  That is well below glibc's largest mmap threshold
 # (32 MiB), so the allocator reuses block-sized buffers instead of mapping,
@@ -116,7 +115,7 @@ def bce_loss(probs: eg.Tensor, labels: np.ndarray) -> eg.Tensor:
     bad = (y != 0) & (y != 1)
     if bad.any():
         raise DataError(f"bce_loss: label {y[bad][0].item()!r} is not 0 or 1")
-    p = eg.clamp(probs, PROB_EPS, 1.0 - PROB_EPS)
+    p = eg.clamp(probs, eg.SIGMOID_EPS, 1.0 - eg.SIGMOID_EPS)
     y_t = eg.Tensor(y.astype(probs.data.dtype))
     pos = eg.mul(y_t, eg.log(p))
     neg_term = eg.mul(eg.one_minus(y_t), eg.log(eg.one_minus(p)))

@@ -123,6 +123,8 @@ def write_attention_report(
     """
     if len(weights_before) != layout.num_channels or len(weights_after) != layout.num_channels:
         raise ShapeError("weight vectors must have one entry per channel")
+    if len(field_names) != layout.num_fields:
+        raise ShapeError(f"{len(field_names)} field names for {layout.num_fields} fields")
     with open(path, "w", encoding="utf-8") as f:
         f.write("channel\torder\tfields\tweight_before\tweight_after\n")
         for c in range(layout.num_channels):

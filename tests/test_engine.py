@@ -689,6 +689,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"trailing bytes in checkpoint {re.escape(str(path))}"):
             eg.load_checkpoint(path)
 
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path):
+        path, ps = self.saved(tmp_path)
+        good = path.read_bytes()
+        bad = eg.ParameterStore(np.float32)
+        literal(bad, "\ud800", randn(2))  # a name UTF-8 cannot encode
+        with pytest.raises(CheckpointError, match=f"cannot save checkpoint {re.escape(str(path))}"):
+            eg.save_checkpoint(path, bad)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        arrays, _ = eg.load_checkpoint(path)
+        for name, t in ps.items():
+            assert arrays[name].tobytes() == t.data.tobytes()
+
     def test_failed_load_leaves_the_store_unchanged(self, tmp_path):
         path, ps = self.saved(tmp_path)
         before = ps.state_arrays()

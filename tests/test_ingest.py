@@ -140,66 +140,6 @@ class TestSplitDataset:
             ingest.split_dataset(self.dataset(2), (0.8, 0.1, 0.1), seed=0)
 
 
-class TestBucketize:
-    def test_quantile_bins(self):
-        values = [str(v) for v in range(100)]
-        labels = ingest.bucketize_numeric(values, 4)
-        assert len(set(labels)) == 4
-        assert labels[0] == "b0" and labels[-1] == "b3"
-
-    def test_unparsable_gets_nan_token(self):
-        labels = ingest.bucketize_numeric(["1", "x", "3"], 2)
-        assert labels[1] == "nan"
-
-    def test_all_unparsable(self):
-        assert ingest.bucketize_numeric(["a", "b"], 2) == ["nan", "nan"]
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.integers(-3, 3).map(str)
-            | st.floats(allow_nan=True, allow_infinity=True).map(repr)
-            | st.sampled_from(["nan", "inf", "-inf", "x", "", " 1 ", "1e3", "1_0"]),
-            max_size=40,
-        ),
-        st.integers(2, 6),
-    )
-    def test_matches_the_loop_reference(self, values, num_bins):
-        # few distinct integers put many values exactly on a bin edge
-        assert ingest.bucketize_numeric(values, num_bins) == bucketize_reference(values, num_bins)
-
-    @pytest.mark.parametrize("num_bins", [1, 2.5, 2.0, "3", None])
-    def test_bins_must_be_an_int_of_at_least_2(self, num_bins):
-        with pytest.raises(DataError, match=f"need at least 2 bins, got {num_bins!r}"):
-            ingest.bucketize_numeric(["1", "2", "3"], num_bins)
-
-    def test_values_on_an_edge(self):
-        values = ["1", "1", "2", "2", "3", "3", "nan", "x"]
-        assert ingest.bucketize_numeric(values, 2) == bucketize_reference(values, 2)
-        assert ingest.bucketize_numeric(values, 2) == ["b0", "b0", "b1", "b1", "b1", "b1", "nan", "nan"]
-
-
-def bucketize_reference(values, num_bins):
-    """The one-value-at-a-time loop ``bucketize_numeric`` replaced."""
-    parsed = np.full(len(values), np.nan)
-    for i, v in enumerate(values):
-        try:
-            parsed[i] = float(v)
-        except ValueError:
-            pass
-    finite = parsed[np.isfinite(parsed)]
-    if finite.size == 0:
-        return ["nan"] * len(values)
-    edges = np.unique(np.quantile(finite, np.linspace(0, 1, num_bins + 1)[1:-1]))
-    out = []
-    for x in parsed:
-        if not np.isfinite(x):
-            out.append("nan")
-        else:
-            out.append(f"b{int(np.searchsorted(edges, x, side='right'))}")
-    return out
-
-
 class TestEncodeTable:
     HEADER = ["user", "item", "age", "rating"]
     ROWS = [
@@ -220,26 +160,6 @@ class TestEncodeTable:
     def test_missing_column_named(self):
         with pytest.raises(DataError, match="nope"):
             ingest.encode_table(self.ROWS, self.HEADER, "rating", ["user", "nope"], 6)
-
-    def test_numeric_field_bucketized(self):
-        vocab, ds = ingest.encode_table(
-            self.ROWS,
-            self.HEADER,
-            "rating",
-            ["user", "age"],
-            threshold=6,
-            numeric_fields=["age"],
-            numeric_bins=2,
-        )
-        age_values = set(vocab.maps[1])
-        assert age_values <= {"b0", "b1"}
-
-    def test_repeated_numeric_field_rejected(self):
-        with pytest.raises(DataError, match="numeric fields: duplicate field name 'age'"):
-            ingest.encode_table(
-                self.ROWS, self.HEADER, "rating", ["user", "age"], threshold=6,
-                numeric_fields=["age", "age"], numeric_bins=2,
-            )
 
     @pytest.mark.parametrize("bad,message", [
         ("inf", "row 4: non-finite label score inf"),
@@ -264,6 +184,11 @@ class TestEncodeTable:
         header = ["user", "age", "age", "rating"]
         with pytest.raises(DataError, match="^header: duplicate field name 'age'$"):
             ingest.encode_table(self.ROWS, header, "rating", ["user", "age"], 6)
+
+    def test_label_column_as_a_field_rejected(self):
+        # a field that holds the label would leak it into the inputs
+        with pytest.raises(DataError, match="^label column 'rating' is also a field column$"):
+            ingest.encode_table(self.ROWS, self.HEADER, "rating", ["rating", "user"], 6)
 
     def test_ragged_row_names_line(self):
         rows = [self.ROWS[0], self.ROWS[1][:3], self.ROWS[2]]
@@ -510,6 +435,13 @@ class TestVocabularyFile:
     def test_decode_value_outside_the_map_is_none(self):
         vocab = vocabulary_of([["a"], ["b"], ["c"]], ["f"])
         assert [vocab.decode_value(0, i) for i in range(-1, 5)] == [None, None, "a", "b", "c", None]
+
+    @pytest.mark.parametrize("field", [-1, 2, 5])
+    def test_decode_value_of_a_field_it_lacks_rejected(self, field):
+        # -1 would otherwise decode the last field's value
+        vocab = vocabulary_of([["a", "b"]], ["f", "g"])
+        with pytest.raises(DataError, match=f"^no field {field}: the vocabulary has 2 fields$"):
+            vocab.decode_value(field, 1)
 
     def test_duplicate_field_names_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"

@@ -275,3 +275,12 @@ class TestWeightExport:
         assert [row[2] for row in rows[1:]] == [
             "a\\tb,c\\nd", "a\\tb,e\\\\f", "c\\nd,e\\\\f", "a\\tb,c\\nd,e\\\\f"
         ]
+
+    @pytest.mark.parametrize("names", [["f0", "f1"], ["f0", "f1", "f2", "f3"]])
+    def test_report_needs_one_name_per_field(self, tmp_path, names):
+        # too few names would fail mid-file, extra ones would be dropped
+        layout = ChannelLayout.build(3)
+        path = tmp_path / "attention.tsv"
+        with pytest.raises(ShapeError, match=f"^{len(names)} field names for 3 fields$"):
+            sk.write_attention_report(path, layout, names, np.full(4, 0.5), np.full(4, 0.5))
+        assert not path.exists()
