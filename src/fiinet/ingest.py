@@ -291,17 +291,21 @@ def split_dataset(
 def read_table(path) -> tuple[list[str], list[list[str]]]:
     """Comma-separated text with a header row.  Blank lines are skipped;
     every other record must have as many columns as the header.  A leading
-    UTF-8 byte-order mark is dropped, so it never joins the first name."""
+    UTF-8 byte-order mark is dropped, so it never joins the first name.
+    The ``csv`` module's own errors, such as a value longer than
+    ``csv.field_size_limit()``, name the line the reader had reached."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as f:
             reader = csv.reader(f)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            rows = [row for row in reader if row]
+                header = next(reader, None)
+                rows = [row for row in reader if row]
+            except csv.Error as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         raise _not_utf8_error(path, newline="") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
     if not rows:
         raise DataError(f"{path}: empty dataset")
     if set(map(len, rows)) - {len(header)}:
@@ -336,6 +340,8 @@ def encode_table(
     """Vocabulary build plus full encode of one raw table.  A field's values
     take the indices 1, 2, 3, ... in the order they first appear."""
     _require_unique(header, "header: ")
+    if not field_columns:
+        raise DataError("no field columns")
     missing = [c for c in [label_column, *field_columns] if c not in header]
     if missing:
         raise DataError(f"missing columns: {', '.join(missing)}")

@@ -91,35 +91,30 @@ def _require_int(name: str, value, minimum: int = 1) -> None:
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
-def _replay(score) -> None:
-    """Run ``score()`` again off the tape with every op's output checked.
+def _replayed(call, replay):
+    """``call()``; on a NonFiniteError, run ``replay()`` off the tape under
+    ``engine._every_op_checked`` first, then re-raise.
 
-    The engine checks finiteness only where a value could vanish, so a
-    failed forward names the op that caught the value, say ``relu``.  Run
-    again under ``engine._every_op_checked``, it raises at the op that
-    produced the value instead.  The replay runs in evaluation mode, so
-    dropout draws nothing; if it raises nothing, the caller re-raises its
-    own error."""
-    with eg.no_grad(), eg._every_op_checked():
-        score()
+    The engine checks finiteness only where a value could vanish, so the
+    error names the op that caught the value, say ``relu``; the replay
+    raises at the op that produced it.  It runs in evaluation mode, so
+    dropout draws nothing; if it raises nothing, ``call``'s error stands."""
+    try:
+        return call()
+    except NonFiniteError:
+        with eg.no_grad(), eg._every_op_checked():
+            replay()
+        raise
 
 
-def bce_loss(probs: eg.Tensor, labels: np.ndarray) -> eg.Tensor:
-    """Mean binary cross-entropy of labels in {0,1}; probabilities are
-    clamped away from {0,1}."""
-    y = np.asarray(labels)
-    if probs.data.ndim != 1 or y.shape != probs.data.shape:
-        raise ShapeError(
-            f"bce_loss: scores {probs.data.shape} vs labels {y.shape}"
-        )
-    bad = (y != 0) & (y != 1)
-    if bad.any():
-        raise DataError(f"bce_loss: label {y[bad][0].item()!r} is not 0 or 1")
+def _bce_loss(probs: eg.Tensor, labels: np.ndarray) -> eg.Tensor:
+    """Mean logloss -mean(log q) of labels y in {0,1}: q = y·p + (1-y)·(1-p)
+    is the probability of the observed label, p clamped away from {0,1}.  One
+    log per row, with the bits of -mean(y·log p + (1-y)·log(1-p))."""
+    y = labels.astype(probs.data.dtype)
     p = eg.clamp(probs, eg.SIGMOID_EPS, 1.0 - eg.SIGMOID_EPS)
-    y_t = eg.Tensor(y.astype(probs.data.dtype))
-    pos = eg.mul(y_t, eg.log(p))
-    neg_term = eg.mul(eg.one_minus(y_t), eg.log(eg.one_minus(p)))
-    return eg.neg(eg.mean_all(eg.add(pos, neg_term)))
+    q = eg.add(eg.mul(eg.Tensor(y), p), eg.mul(eg.Tensor(1 - y), eg.one_minus(p)))
+    return eg.neg(eg.mean_all(eg.log(q)))
 
 
 class CtrModel:
@@ -265,13 +260,10 @@ class CtrModel:
         """Predicted probabilities for a batch, shape (B,), open interval (0,1).
 
         A non-finite value raises NonFiniteError naming the op that
-        produced it (see ``_replay``)."""
+        produced it (see ``_replayed``)."""
         idx = self._validate_indices(indices)
-        try:
-            return self._forward(idx, training, rng)
-        except NonFiniteError:
-            _replay(lambda: self._forward(idx, False, None))
-            raise
+        return _replayed(lambda: self._forward(idx, training, rng),
+                         lambda: self._forward(idx, False, None))
 
     def _forward(self, idx: np.ndarray, training: bool, rng) -> eg.Tensor:
         batch = idx.shape[0]
@@ -307,7 +299,16 @@ class CtrModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> eg.Tensor:
-        return bce_loss(self.forward(indices, training=training, rng=rng), labels)
+        """Mean binary cross-entropy.  Labels (one per row, 0 or 1) are checked
+        before ``forward``, so a refused call draws nothing from ``rng``."""
+        y = np.asarray(labels)
+        rows = (self._index_rows(indices).shape[0],)
+        if y.shape != rows:
+            raise ShapeError(f"bce_loss: scores {rows} vs labels {y.shape}")
+        bad = (y != 0) & (y != 1)
+        if bad.any():
+            raise DataError(f"bce_loss: label {y[bad][0].item()!r} is not 0 or 1")
+        return _bce_loss(self.forward(indices, training=training, rng=rng), y)
 
     def batch_attention(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-example attention weights (a, b), each (B,C), evaluation mode."""
@@ -318,11 +319,9 @@ class CtrModel:
             raise DataError("empty sample for attention export")
 
         def weights(block):
-            try:
-                _, a, b = self.attention_weights(self._embeddings(block))
-            except NonFiniteError:
-                _replay(lambda: self.attention_weights(self._embeddings(block)))
-                raise
+            def score():
+                return self.attention_weights(self._embeddings(block))
+            _, a, b = _replayed(score, score)
             return a.data, b.data
 
         a, b = zip(*self._in_blocks(idx, weights))

@@ -121,8 +121,9 @@ def write_attention_report(
     newline or backslash in a name cannot break a row.  The names of a
     cross are joined by commas, so a name holding a comma stays ambiguous.
     """
-    if len(weights_before) != layout.num_channels or len(weights_after) != layout.num_channels:
-        raise ShapeError("weight vectors must have one entry per channel")
+    shape = (layout.num_channels,)
+    if np.shape(weights_before) != shape or np.shape(weights_after) != shape:
+        raise ShapeError(f"weight vectors must have shape {shape}, one entry per channel")
     if len(field_names) != layout.num_fields:
         raise ShapeError(f"{len(field_names)} field names for {layout.num_fields} fields")
     with open(path, "w", encoding="utf-8") as f:

@@ -1,5 +1,6 @@
 """Vocabulary build, label thresholds, splits, file round-trips."""
 
+import csv
 import re
 import struct
 
@@ -185,6 +186,11 @@ class TestEncodeTable:
         with pytest.raises(DataError, match="^header: duplicate field name 'age'$"):
             ingest.encode_table(self.ROWS, header, "rating", ["user", "age"], 6)
 
+    def test_no_field_columns_rejected(self):
+        # the (N, 0) split it would encode makes a directory load_prepared refuses
+        with pytest.raises(DataError, match="^no field columns$"):
+            ingest.encode_table(self.ROWS, self.HEADER, "rating", [], 6)
+
     def test_label_column_as_a_field_rejected(self):
         # a field that holds the label would leak it into the inputs
         with pytest.raises(DataError, match="^label column 'rating' is also a field column$"):
@@ -282,6 +288,16 @@ class TestReadTable:
         path = tmp_path / "raw.csv"
         path.write_bytes(b"\xef\xbb\xbflabel,a\xff\n1,x\n")
         with pytest.raises(DataError, match=r"raw.csv:1: byte 0xff at column 8 is not UTF-8"):
+            ingest.read_table(path)
+
+    @pytest.mark.parametrize("template,line", [
+        ("label,{big}\n1,x\n", 1),
+        ("label,a\n1,x\n0,{big}\n", 3),
+    ])
+    def test_value_over_the_csv_field_limit_names_file_and_line(self, tmp_path, template, line):
+        path = tmp_path / "raw.csv"
+        path.write_text(template.format(big="v" * (csv.field_size_limit() + 1)), newline="")
+        with pytest.raises(DataError, match=rf"raw.csv:{line}: field larger than field limit"):
             ingest.read_table(path)
 
     def test_records_spanning_lines_and_blank_lines_read(self, tmp_path):

@@ -2,8 +2,8 @@
 table gradients against a dense scatter, each deep variant's forward
 against a plain-numpy restatement of the padded-branch formula, scoring in
 row blocks against one whole-batch pass, parameters drawn on first read
-and never when loaded, label checks in the loss, and ModelConfig
-validation."""
+and never when loaded, the loss against the two-log formula bit for bit,
+label checks before the forward pass, and ModelConfig validation."""
 
 import tracemalloc
 from itertools import combinations
@@ -85,19 +85,36 @@ def test_table_gradients_equal_a_dense_scatter(variant, precision, monkeypatch):
         assert table.grad.tobytes() == want.tobytes(), tables[id(table)]
 
 
-def test_fiinet_forward_records_29_tape_nodes_at_10_fields():
-    # two gathers (one per table family), sum_fields and add_rowvec for the
-    # linear part, and 25 nodes for the crosses, attention, DNN and output
-    schemas = [FieldSchema(f"f{i}", i, 5) for i in range(10)]
-    model = CtrModel(schemas, ModelConfig(embedding_dim=4, hidden_sizes=(8, 4)))
-    out = model.forward(np.zeros((3, 10), dtype=np.int64))
+def tape_nodes(out):
+    """The number of distinct recorded nodes reachable from ``out``."""
     nodes, stack = set(), [out]
     while stack:
         node = stack.pop()
         if node._backward is not None and id(node) not in nodes:
             nodes.add(id(node))
             stack.extend(node._parents)
-    assert len(nodes) == 29
+    return len(nodes)
+
+
+def ten_field_fiinet():
+    schemas = [FieldSchema(f"f{i}", i, 5) for i in range(10)]
+    return CtrModel(schemas, ModelConfig(embedding_dim=4, hidden_sizes=(8, 4)))
+
+
+def test_fiinet_forward_records_29_tape_nodes_at_10_fields():
+    # two gathers (one per table family), sum_fields and add_rowvec for the
+    # linear part, and 25 nodes for the crosses, attention, DNN and output
+    out = ten_field_fiinet().forward(np.zeros((3, 10), dtype=np.int64))
+    assert tape_nodes(out) == 29
+
+
+def test_fiinet_training_step_records_39_tape_nodes_at_10_fields():
+    # the forward's 29, a dropout node per hidden layer, and 8 for the loss:
+    # clamp, two mul, one_minus, add, one log, mean_all and neg
+    loss = ten_field_fiinet().loss(
+        np.zeros((3, 10), dtype=np.int64), [0, 1, 1], training=True, rng=np.random.default_rng(0)
+    )
+    assert tape_nodes(loss) == 39
 
 
 def test_backward_memory_does_not_grow_with_vocabulary():
@@ -362,6 +379,54 @@ def test_loss_rejects_labels_outside_0_1(labels):
     x, _ = batch(n=3)
     with pytest.raises(DataError, match="is not 0 or 1"):
         model.loss(x, labels)
+
+
+@pytest.mark.parametrize("labels,error,message", [
+    ([0, 1, 2, 0, 1, 0], DataError, "bce_loss: label 2 is not 0 or 1"),
+    ([0, 1, 0], ShapeError, r"bce_loss: scores \(6,\) vs labels \(3,\)"),
+])
+def test_a_refused_loss_runs_no_forward_and_draws_nothing(labels, error, message):
+    model = new_model("fiinet", "float32")
+    model._forward = lambda *args: pytest.fail("forward ran")
+    x, _ = batch(n=6)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match=f"^{message}$"):
+        model.loss(x, labels, training=True, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+def two_log_loss(probs, labels):
+    """The loss and its gradient as -mean(y·log p + (1-y)·log(1-p)) on the
+    clamped probabilities, with the backward rules of each op restated."""
+    dtype = probs.dtype
+    y = labels.astype(dtype)
+    eps = eg.SIGMOID_EPS
+    p = np.clip(probs, eps, 1.0 - eps)
+    inside = (probs >= eps) & (probs <= 1.0 - eps)
+    loss = np.asarray(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean(), dtype=dtype)
+    g = -np.ones((), dtype) / len(probs)
+    grad = ((g * y) / p - (g * (1 - y)) / (1 - p)) * inside
+    return loss, grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("label", [0, 1, None], ids=["all-0", "all-1", "mixed"])
+def test_loss_and_gradient_equal_the_two_log_formula_bitwise(dtype, label):
+    eps = eg.SIGMOID_EPS
+    saturated = [0.0, 1e-12, eps / 2, 1 - eps / 2, 1 - 1e-12, 1.0]
+    probs = np.concatenate([np.linspace(eps, 1 - eps, 41), saturated, [0.3, 0.5]]).astype(dtype)
+    if label is None:
+        probs = np.repeat(probs, 2)
+        labels = np.tile([0, 1], len(probs) // 2)
+    else:
+        labels = np.full(len(probs), label)
+    p = eg.Tensor(probs, requires_grad=True)
+    loss = network._bce_loss(p, labels)
+    loss.backward()
+    want_loss, want_grad = two_log_loss(probs, labels)
+    assert loss.data.dtype == dtype and loss.data.tobytes() == want_loss.tobytes()
+    assert p.grad.dtype == dtype and p.grad.tobytes() == want_grad.tobytes()
 
 
 @pytest.mark.parametrize("field,value", [

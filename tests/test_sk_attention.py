@@ -276,6 +276,19 @@ class TestWeightExport:
             "a\\tb,c\\nd", "a\\tb,e\\\\f", "c\\nd,e\\\\f", "a\\tb,c\\nd,e\\\\f"
         ]
 
+    @pytest.mark.parametrize("before,after", [
+        (np.full((4, 2), 0.5), np.full(4, 0.5)),
+        (np.full(4, 0.5), np.full((1, 4), 0.5)),
+        (np.full(3, 0.5), np.full(4, 0.5)),
+    ])
+    def test_report_needs_one_weight_per_channel(self, tmp_path, before, after):
+        # a (C, 2) vector has C entries but would fail mid-file
+        layout = ChannelLayout.build(3)
+        path = tmp_path / "attention.tsv"
+        with pytest.raises(ShapeError, match="one entry per channel"):
+            sk.write_attention_report(path, layout, ["f0", "f1", "f2"], before, after)
+        assert not path.exists()
+
     @pytest.mark.parametrize("names", [["f0", "f1"], ["f0", "f1", "f2", "f3"]])
     def test_report_needs_one_name_per_field(self, tmp_path, names):
         # too few names would fail mid-file, extra ones would be dropped
