@@ -10,8 +10,9 @@ is the plain Hadamard product of the participating field embeddings,
 downstream network absorb any per-cross scaling.
 
 Each branch holds only its own live channels: the pair branch is
-(B,C2,k) and the triple branch (B,C3,k).  The model joins them along the
-channel axis into the (B,C,k) layout, the attention layer's Fuse.
+(B,C2,k) and the triple branch (B,C3,k).  The attention layer takes the
+two as a list and never joins them unscaled; a variant without attention
+joins them along the channel axis into its (B,C,k) DNN input.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import struct
 import zlib
 from contextlib import contextmanager, suppress
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable
 
 import numpy as np
@@ -486,7 +486,7 @@ def concat_channels(tensors: list[Tensor]) -> Tensor:
             raise ShapeError(
                 "concat_channels: inputs must agree on dtype and all axes but the channel axis"
             )
-    bounds = np.cumsum([0] + [t.data.shape[1] for t in tensors]).tolist()
+    bounds = list(accumulate((t.data.shape[1] for t in tensors), initial=0))
     out = np.concatenate([t.data for t in tensors], axis=1)
 
     def backward(g):
@@ -516,34 +516,74 @@ def join_columns(left: Tensor, right: Tensor, split: int) -> Tensor:
     return _make(out, (left, right), backward, "join_columns")
 
 
-def scale_channels(x: Tensor, w: Tensor) -> Tensor:
-    """Multiply each channel vector of (B,C,k) by its (B,C) weight."""
-    if x.data.ndim != 3 or w.data.ndim != 2 or x.data.shape[:2] != w.data.shape:
+def _branch_bounds(xs: list[Tensor], op: str) -> list[int]:
+    """Channel offsets [0, C_0, C_0+C_1, ...] of (B,C_i,k) branches that
+    agree on B, k and dtype, as Python ints."""
+    if not xs:
+        raise ShapeError(f"{op} needs at least one branch")
+    first = xs[0].data
+    for x in xs:
+        d = x.data
+        if (d.ndim != 3 or d.dtype != first.dtype or d.shape[0] != first.shape[0]
+                or d.shape[2] != first.shape[2]):
+            raise ShapeError(f"{op}: branches must be (B,C_i,k) and agree on B, k and dtype")
+    return list(accumulate((x.data.shape[1] for x in xs), initial=0))
+
+
+def scale_channels(xs: list[Tensor], w: Tensor) -> Tensor:
+    """Multiply each channel vector of the joined (B,C_i,k) branches by its
+    (B,C) weight, C = sum of C_i: (B,C,k) out.
+
+    The branches are joined into a fresh buffer that is scaled in place, so
+    the unscaled join is never kept.  Backward hands branch i the slice
+    g[:, lo:hi] * w[:, lo:hi] and builds the weight gradient per branch from
+    the branch arrays themselves."""
+    bounds = _branch_bounds(xs, "scale_channels")
+    batch = xs[0].data.shape[0]
+    if w.data.shape != (batch, bounds[-1]) or w.data.dtype != xs[0].data.dtype:
         raise ShapeError(
-            f"scale_channels: incompatible shapes {x.data.shape} and {w.data.shape}"
+            f"scale_channels: weight {w.data.shape} {w.data.dtype} does not fit "
+            f"{len(xs)} branches of {bounds[-1]} channels {xs[0].data.dtype}"
         )
-    out = x.data * w.data[:, :, None]
+    out = np.concatenate([x.data for x in xs], axis=1)
+    out *= w.data[:, :, None]
 
     def backward(g):
-        return g * w.data[:, :, None], np.einsum("bck,bck->bc", g, x.data)
+        wd = w.data
+        gw = np.empty_like(wd)
+        grads = []
+        for x, lo, hi in zip(xs, bounds, bounds[1:]):
+            gi = g[:, lo:hi]
+            grads.append(gi * wd[:, lo:hi, None])
+            np.einsum("bck,bck->bc", gi, x.data, out=gw[:, lo:hi])
+        return (*grads, gw)
 
-    return _make(out, (x, w), backward, "scale_channels")
+    return _make(out, (*xs, w), backward, "scale_channels")
 
 
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 
 
-def mean_lastdim(x: Tensor) -> Tensor:
-    """Mean over the trailing axis, e.g. (B,C,k) -> (B,C)."""
-    k = x.data.shape[-1]
+def mean_lastdim(xs: list[Tensor]) -> Tensor:
+    """Mean over the trailing axis of each (B,C_i,k) branch, joined: (B,C),
+    C = sum of C_i.  Each branch is summed into its columns of one buffer,
+    which is then divided by k in place, the bits of ``.mean(axis=-1)``."""
+    bounds = _branch_bounds(xs, "mean_lastdim")
+    k = xs[0].data.shape[2]
     if k == 0:
         raise ShapeError("mean_lastdim over an empty axis")
-    out = x.data.mean(axis=-1)
-    return _make(
-        out, (x,), lambda g: (np.broadcast_to((g / k)[..., None], x.data.shape),),
-        "mean_lastdim",
-    )
+    out = np.empty((xs[0].data.shape[0], bounds[-1]), dtype=xs[0].data.dtype)
+    for x, lo, hi in zip(xs, bounds, bounds[1:]):
+        np.add.reduce(x.data, axis=-1, out=out[:, lo:hi])
+    np.true_divide(out, k, out=out)
+
+    def backward(g):
+        gk = g / k
+        return tuple(np.broadcast_to(gk[:, lo:hi, None], x.data.shape)
+                     for x, lo, hi in zip(xs, bounds, bounds[1:]))
+
+    return _make(out, tuple(xs), backward, "mean_lastdim")
 
 
 def sum_lastdim(x: Tensor) -> Tensor:
@@ -779,9 +819,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.dtype]:
     Each array is read straight into a fresh buffer, so the file is never
     held twice.  Any fault (bad magic, version or dtype code, a record cut
     short, a name that is not UTF-8 or appears twice, trailing bytes)
-    raises CheckpointError naming the path, and nothing is returned.
+    raises CheckpointError naming the path, and nothing is returned; so
+    does a path that cannot be opened, such as a missing file or a
+    directory.
     """
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot open checkpoint {path}: {exc.strerror or exc}") from None
+    with f:
         size = os.fstat(f.fileno()).st_size
 
         def need(n: int, what: str) -> None:

@@ -254,12 +254,20 @@ def _columns(rows: list[list[str]], width: int) -> list[list[str]]:
 
 def binarize_label(scores, threshold: float) -> np.ndarray:
     """1 where score > threshold (strict), else 0, as int64 of the scores'
-    shape; a scalar gives a 0-d array."""
+    shape; a scalar gives a 0-d array.  The threshold must be finite."""
+    _require_finite_threshold(threshold)
     scores = np.asarray(scores, dtype=np.float64)
     finite = np.isfinite(scores)
     if not finite.all():
         raise DataError(f"non-finite label score {float(scores[~finite][0])!r}")
     return (scores > threshold).astype(np.int64)
+
+
+def _require_finite_threshold(threshold) -> None:
+    # no score is > NaN or > +inf, and every finite one is > -inf, so each
+    # would give every row the same label
+    if not math.isfinite(threshold):
+        raise DataError(f"label threshold must be finite, got {threshold!r}")
 
 
 def split_dataset(
@@ -339,6 +347,7 @@ def encode_table(
 ) -> tuple[Vocabulary, EncodedDataset]:
     """Vocabulary build plus full encode of one raw table.  A field's values
     take the indices 1, 2, 3, ... in the order they first appear."""
+    _require_finite_threshold(threshold)
     _require_unique(header, "header: ")
     if not field_columns:
         raise DataError("no field columns")

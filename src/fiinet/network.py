@@ -230,24 +230,24 @@ class CtrModel:
             eg.scale(eg.sum_lastdim(eg.sub(sq_of_sum, sum_of_sq)), 0.5), (batch, 1)
         )
 
-    def _cross_channels(self, emb: eg.Tensor) -> eg.Tensor:
-        """The (B,C,k) cross channels of the layout: pairs, then triples."""
-        if not self.layout.triples:
-            return build_branch_2(emb, self.layout)
-        if not self.layout.pairs:
-            return build_branch_3(emb, self.layout)
-        return eg.concat_channels(
-            [build_branch_2(emb, self.layout), build_branch_3(emb, self.layout)]
-        )
+    def _branches(self, emb: eg.Tensor) -> list[eg.Tensor]:
+        """The cross branches of the layout: (B,C2,k) pairs, then (B,C3,k)
+        triples, each present only if the layout has its order."""
+        branches = []
+        if self.layout.pairs:
+            branches.append(build_branch_2(emb, self.layout))
+        if self.layout.triples:
+            branches.append(build_branch_3(emb, self.layout))
+        return branches
 
     def attention_weights(self, emb: eg.Tensor):
-        """(fused, a, b) for the full attention variant: the (B,C,k) cross
-        channels and the (B,C) select weights of each branch."""
+        """(branches, a, b) for the full attention variant: the (B,C_i,k)
+        cross branches and the (B,C) select weights of each branch."""
         if self.sk_params is None:
             raise ShapeError(f"variant '{self.config.variant}' has no attention weights")
-        fused = self._cross_channels(emb)
-        a, b = sk.select_weights(fused, self.sk_params)
-        return fused, a, b
+        branches = self._branches(emb)
+        a, b = sk.select_weights(branches, self.sk_params)
+        return branches, a, b
 
     # -- public API ------------------------------------------------------
 
@@ -271,10 +271,11 @@ class CtrModel:
         if self.layout is not None:
             emb = self._embeddings(idx)
             if self.sk_params is None:
-                v = self._cross_channels(emb)
+                branches = self._branches(emb)
+                v = branches[0] if len(branches) == 1 else eg.concat_channels(branches)
             else:
-                fused, a, b = self.attention_weights(emb)
-                v = sk.apply_select(fused, a, b, self.layout.num_pairs)
+                branches, a, b = self.attention_weights(emb)
+                v = sk.apply_select(branches, a, b, self.layout.num_pairs)
             flat = eg.reshape(v, (batch, self.layout.num_channels * self.config.embedding_dim))
             z = eg.add(z, self._dnn(flat, training, rng))
         elif self.config.variant == "fm":

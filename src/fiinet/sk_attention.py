@@ -1,13 +1,15 @@
 """Selective-kernel attention over cross channels (the Select stage).
 
-The model joins the pair branch (B,C2,k) and the triple branch (B,C3,k)
-along the channel axis into the (B,C,k) cross channels, SKNet's Fuse.
-``select_weights`` then pools each channel to its global mean, squeezes
-the C-length statistic through a reduce/excite bottleneck, scores every
-channel with two branch matrices and normalizes the pair of logits with a
-two-way softmax, yielding convex weights (a_c, b_c) per channel.  Each
-channel belongs to one branch, so the output map scales it by one weight:
-a_c on pair channels, b_c on triple channels.
+The cross channels arrive as the branch list [pairs (B,C2,k), triples
+(B,C3,k)], in layout order; C = C2 + C3.  SKNet's Fuse, the (B,C,k) join
+of the branches, is never built: ``select_weights`` pools each branch's
+channels to their global means, joined into one (B,C) statistic, squeezes
+it through a reduce/excite bottleneck, scores every channel with two branch
+matrices and normalizes the pair of logits with a two-way softmax,
+yielding convex weights (a_c, b_c) per channel.  Each channel belongs to
+one branch, so the output map scales it by one weight: a_c on pair
+channels, b_c on triple channels; ``apply_select`` joins and scales the
+branches in one op.
 
 The two-way softmax is computed as a sigmoid of the logit difference, which
 is the max-subtraction form, and the second weight as 1 - a_c, so the pair
@@ -73,26 +75,27 @@ def init_sk_params(
     return SkParams(w1=w1, branch_a=branch_a, branch_b=branch_b)
 
 
-def select_weights(fused: eg.Tensor, params: SkParams):
-    """Per-channel select weights (a, b), each (B,C), of (B,C,k) channels.
+def select_weights(branches: list[eg.Tensor], params: SkParams):
+    """Per-channel select weights (a, b), each (B,C), of the (B,C_i,k)
+    cross branches, C = sum of C_i.
 
     Squeeze each channel to its global mean Z (B,C), reduce it to the
     descriptor s = relu(w1 . Z) (B,d), and take the two-way softmax of the
     branch logits A.s and B.s: a_c + b_c = 1 exactly and both in (0,1).
     """
-    if fused.data.ndim != 3:
-        raise ShapeError(f"select_weights expects (B,C,k), got {fused.data.shape}")
-    descriptor = eg.relu(eg.linear(eg.mean_lastdim(fused), params.w1))
+    descriptor = eg.relu(eg.linear(eg.mean_lastdim(branches), params.w1))
     logits_a = eg.linear(descriptor, params.branch_a)
     logits_b = eg.linear(descriptor, params.branch_b)
     a = eg.sigmoid(eg.sub(logits_a, logits_b))
     return a, eg.one_minus(a)
 
 
-def apply_select(fused: eg.Tensor, a: eg.Tensor, b: eg.Tensor, num_pairs: int) -> eg.Tensor:
-    """Attention-weighted output map: pair channel c scaled by a_c, triple
-    channel c by b_c, as one scale by w = [a[:, :C2] | b[:, C2:]]."""
-    return eg.scale_channels(fused, eg.join_columns(a, b, num_pairs))
+def apply_select(branches: list[eg.Tensor], a: eg.Tensor, b: eg.Tensor,
+                 num_pairs: int) -> eg.Tensor:
+    """Attention-weighted output map (B,C,k) of the (B,C_i,k) branches: pair
+    channel c scaled by a_c, triple channel c by b_c, as one scale of the
+    joined branches by w = [a[:, :C2] | b[:, C2:]]."""
+    return eg.scale_channels(branches, eg.join_columns(a, b, num_pairs))
 
 
 def channel_weight_means(a: np.ndarray, b: np.ndarray, layout: ChannelLayout) -> np.ndarray:

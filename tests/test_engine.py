@@ -168,11 +168,17 @@ class TestPrimitiveGradients:
 
     def test_scale_channels(self):
         check_op(
-            lambda ts: eg.scale_channels(ts[0], ts[1]), [randn(2, 3, 4), randn(2, 3)]
+            lambda ts: eg.scale_channels(ts[:2], ts[2]), [randn(2, 3, 4), randn(2, 2, 4), randn(2, 5)]
         )
 
+    def test_scale_channels_one_branch(self):
+        check_op(lambda ts: eg.scale_channels(ts[:1], ts[1]), [randn(2, 3, 4), randn(2, 3)])
+
     def test_mean_lastdim(self):
-        check_op(lambda ts: eg.mean_lastdim(ts[0]), [randn(2, 3, 4)])
+        check_op(lambda ts: eg.mean_lastdim(list(ts)), [randn(2, 3, 4), randn(2, 2, 4)])
+
+    def test_mean_lastdim_one_branch(self):
+        check_op(lambda ts: eg.mean_lastdim(list(ts)), [randn(2, 3, 4)])
 
     def test_sum_lastdim(self):
         check_op(lambda ts: eg.sum_lastdim(ts[0]), [randn(2, 4)])
@@ -223,7 +229,67 @@ class TestOpSemantics:
         with pytest.raises(ShapeError):
             eg.linear(eg.Tensor(np.zeros((2, 3))), eg.Tensor(np.zeros((3, 2))))
         with pytest.raises(ShapeError):
-            eg.scale_channels(eg.Tensor(np.zeros((2, 3, 4))), eg.Tensor(np.zeros((2, 4))))
+            eg.scale_channels([eg.Tensor(np.zeros((2, 3, 4)))], eg.Tensor(np.zeros((2, 4))))
+
+    @pytest.mark.parametrize("op", ["mean_lastdim", "scale_channels"])
+    def test_branch_ops_refuse_mismatched_branches(self, op):
+        def call(arrays):
+            branches = [eg.Tensor(a) for a in arrays]
+            if op == "mean_lastdim":
+                return eg.mean_lastdim(branches)
+            width = sum(a.shape[1] for a in arrays)
+            return eg.scale_channels(branches, eg.Tensor(np.zeros((2, width))))
+
+        cases = [
+            [np.zeros((2, 4, 3)), np.zeros((3, 5, 3))],  # batch axes differ
+            [np.zeros((2, 4, 3)), np.zeros((2, 5, 4))],  # k differs
+            [np.zeros((2, 4, 3)), np.zeros((2, 5, 3), np.float32)],
+            [np.zeros((2, 4)), np.zeros((2, 5))],  # no k axis
+            [np.zeros((2, 4, 3, 1))],
+        ]
+        for arrays in cases:
+            with pytest.raises(ShapeError, match=rf"^{op}: branches must be \(B,C_i,k\)"):
+                call(arrays)
+        with pytest.raises(ShapeError, match=f"^{op} needs at least one branch$"):
+            call([])
+
+    @pytest.mark.parametrize("weight", [
+        np.zeros((2, 8)),  # one channel short
+        np.zeros((2, 10)),  # one channel over
+        np.zeros((3, 9)),  # batch differs
+        np.zeros((2, 9, 1)),
+        np.zeros((2, 9), np.float32),  # dtype differs
+    ])
+    def test_scale_channels_refuses_a_weight_that_does_not_fit(self, weight):
+        branches = [eg.Tensor(np.zeros((2, 4, 3))), eg.Tensor(np.zeros((2, 5, 3)))]
+        with pytest.raises(ShapeError, match="^scale_channels: weight .* does not fit 2 branches of 9"):
+            eg.scale_channels(branches, eg.Tensor(weight))
+
+    def test_mean_lastdim_refuses_an_empty_axis(self):
+        with pytest.raises(ShapeError, match="^mean_lastdim over an empty axis$"):
+            eg.mean_lastdim([eg.Tensor(np.zeros((2, 4, 0))), eg.Tensor(np.zeros((2, 1, 0)))])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("widths,k", [((45, 120), 32), ((3, 1), 5), ((1,), 8), ((7, 9, 2), 17)])
+    def test_branch_ops_match_the_joined_formula_bitwise(self, dtype, widths, k):
+        # the (B,C,k) join the branch ops replace: mean and scale of one
+        # concatenated array, and the gradients of that formula
+        rng = np.random.default_rng(len(widths) * k)
+        arrays = [rng.standard_normal((6, c, k)).astype(dtype) for c in widths]
+        joined = np.concatenate(arrays, axis=1)
+        w = rng.uniform(0.1, 0.9, (6, joined.shape[1])).astype(dtype)
+        g_mean = rng.standard_normal(w.shape).astype(dtype)
+        g_scale = rng.standard_normal(joined.shape).astype(dtype)
+        branches = [eg.Tensor(a, requires_grad=True) for a in arrays]
+        mean = eg.mean_lastdim(branches)
+        scaled = eg.scale_channels(branches, eg.Tensor(w, requires_grad=True))
+        assert mean.data.tobytes() == joined.mean(axis=-1).tobytes()
+        assert scaled.data.tobytes() == (joined * w[:, :, None]).tobytes()
+        *scale_grads, weight_grad = scaled._backward(g_scale)
+        got = [s + m for s, m in zip(scale_grads, mean._backward(g_mean))]
+        want = g_scale * w[:, :, None] + np.broadcast_to((g_mean / k)[..., None], joined.shape)
+        assert np.concatenate(got, axis=1).tobytes() == want.tobytes()
+        assert weight_grad.tobytes() == np.einsum("bck,bck->bc", g_scale, joined).tobytes()
 
     def test_concat_channels_refuses_mismatched_inputs(self):
         cases = [
@@ -688,6 +754,19 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match=f"trailing bytes in checkpoint {re.escape(str(path))}"):
             eg.load_checkpoint(path)
+
+    @pytest.mark.parametrize("load", [
+        eg.load_checkpoint,
+        lambda path: eg.load_checkpoint_into(path, eg.ParameterStore(np.float32)),
+    ], ids=["load_checkpoint", "load_checkpoint_into"])
+    @pytest.mark.parametrize("target,reason", [
+        ("missing.ckpt", "No such file or directory"),
+        ("", "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_unopenable_path_is_named(self, tmp_path, load, target, reason):
+        path = tmp_path / target
+        with pytest.raises(CheckpointError, match=f"^cannot open checkpoint {re.escape(str(path))}: {reason}$"):
+            load(path)
 
     def test_failed_save_keeps_the_old_checkpoint(self, tmp_path):
         path, ps = self.saved(tmp_path)

@@ -92,6 +92,12 @@ class TestBinarizeLabel:
         with pytest.raises(DataError):
             ingest.binarize_label(float("inf"), 6)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # NaN or +inf would label every row 0, -inf every row 1
+        with pytest.raises(DataError, match=f"^label threshold must be finite, got {threshold!r}$"):
+            ingest.binarize_label([0.5, 2.0], threshold)
+
 
 class TestSplitDataset:
     @staticmethod
@@ -157,6 +163,11 @@ class TestEncodeTable:
         assert ds.labels.tolist() == [1, 0, 1, 0]
         assert ds.indices[0].tolist() == [1, 1]
         assert ds.indices[2].tolist() == [1, 2]
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(DataError, match=f"^label threshold must be finite, got {threshold!r}$"):
+            ingest.encode_table(self.ROWS, self.HEADER, "rating", ["user"], threshold)
 
     def test_missing_column_named(self):
         with pytest.raises(DataError, match="nope"):

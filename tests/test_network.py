@@ -85,15 +85,15 @@ def test_table_gradients_equal_a_dense_scatter(variant, precision, monkeypatch):
         assert table.grad.tobytes() == want.tobytes(), tables[id(table)]
 
 
-def tape_nodes(out):
-    """The number of distinct recorded nodes reachable from ``out``."""
-    nodes, stack = set(), [out]
+def tape(out):
+    """The distinct recorded nodes reachable from ``out``."""
+    nodes, stack = {}, [out]
     while stack:
         node = stack.pop()
         if node._backward is not None and id(node) not in nodes:
-            nodes.add(id(node))
+            nodes[id(node)] = node
             stack.extend(node._parents)
-    return len(nodes)
+    return list(nodes.values())
 
 
 def ten_field_fiinet():
@@ -101,20 +101,35 @@ def ten_field_fiinet():
     return CtrModel(schemas, ModelConfig(embedding_dim=4, hidden_sizes=(8, 4)))
 
 
-def test_fiinet_forward_records_29_tape_nodes_at_10_fields():
+def test_fiinet_forward_records_28_tape_nodes_at_10_fields():
     # two gathers (one per table family), sum_fields and add_rowvec for the
-    # linear part, and 25 nodes for the crosses, attention, DNN and output
+    # linear part, and 24 nodes for the crosses, attention, DNN and output
     out = ten_field_fiinet().forward(np.zeros((3, 10), dtype=np.int64))
-    assert tape_nodes(out) == 29
+    assert len(tape(out)) == 28
 
 
-def test_fiinet_training_step_records_39_tape_nodes_at_10_fields():
-    # the forward's 29, a dropout node per hidden layer, and 8 for the loss:
+def test_fiinet_training_step_records_38_tape_nodes_at_10_fields():
+    # the forward's 28, a dropout node per hidden layer, and 8 for the loss:
     # clamp, two mul, one_minus, add, one log, mean_all and neg
     loss = ten_field_fiinet().loss(
         np.zeros((3, 10), dtype=np.int64), [0, 1, 1], training=True, rng=np.random.default_rng(0)
     )
-    assert tape_nodes(loss) == 39
+    assert len(tape(loss)) == 38
+
+
+def test_fiinet_training_step_keeps_two_cross_width_arrays_at_10_fields():
+    # the tape holds the pair and triple branches, C·k wide together, and
+    # the scaled DNN input, C·k wide; the unscaled (B,C,k) join is not kept
+    model = ten_field_fiinet()
+    loss = model.loss(
+        np.zeros((3, 10), dtype=np.int64), [0, 1, 1], training=True, rng=np.random.default_rng(0)
+    )
+    k, layout = model.config.embedding_dim, model.layout
+    cross_widths = [layout.num_pairs * k, len(layout.triples) * k, layout.num_channels * k]
+    # a reshape's output is a view: count each buffer once, by its owner
+    buffers = {id(b): b for b in (n.data if n.data.base is None else n.data.base for n in tape(loss))}
+    widths = sorted(b.size // 3 for b in buffers.values())  # 3 rows
+    assert [w for w in widths if w in cross_widths] == cross_widths
 
 
 def test_backward_memory_does_not_grow_with_vocabulary():

@@ -79,8 +79,13 @@ OP_CASES = {
         lambda a, b: eg.join_columns(a, b, 2), [values((3, 4)), values((3, 4), 1)],
         [[p for p in everywhere((3, 4)) if p[1] < 2], [p for p in everywhere((3, 4)) if p[1] >= 2]],
     ),
-    "scale_channels": (eg.scale_channels, [values((2, 3, 4)), values((2, 3), 1)], None),
-    "mean_lastdim": (eg.mean_lastdim, [values((2, 3, 4))], None),
+    "scale_channels": (
+        lambda x0, x1, w: eg.scale_channels([x0, x1], w),
+        [values((2, 1, 4)), values((2, 2, 4), 1), values((2, 3), 2)], None,
+    ),
+    "mean_lastdim": (
+        lambda *ts: eg.mean_lastdim(list(ts)), [values((2, 1, 4)), values((2, 2, 4), 1)], None,
+    ),
     "sum_lastdim": (eg.sum_lastdim, [values((2, 3))], None),
     "sum_fields": (eg.sum_fields, [values((2, 3, 4))], None),
     "reshape": (lambda x: eg.reshape(x, (3, 4)), [values((2, 6))], None),

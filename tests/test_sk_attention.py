@@ -1,5 +1,6 @@
-"""Fuse/Select stage: the channel join, pooling, bottleneck, two-way
-softmax and weighted map, and the per-channel attention report."""
+"""Select stage: the channel join of the variants without attention, and
+the pooling, bottleneck, two-way softmax and weighted map over the branch
+list, and the per-channel attention report."""
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ def rand(*shape, seed=0):
 
 
 class TestFuse:
-    # the model's Fuse stage: pair channels then triple channels, joined by
-    # eg.concat_channels; its refusals are tested in tests/test_engine.py
+    # the join of the variants without attention: pair channels then
+    # triple channels, joined by eg.concat_channels; its refusals are tested
+    # in tests/test_engine.py.  The attention path never builds it.
     def test_fuse_equals_concat_of_live_channels(self):
         layout = ChannelLayout.build(4)
         E = eg.Tensor(rand(3, 4, 5, seed=1))
@@ -39,48 +41,67 @@ def params(w1, branch_a, branch_b):
     return sk.SkParams(eg.Tensor(w1), eg.Tensor(branch_a), eg.Tensor(branch_b))
 
 
-def descriptor_of(fused, w1):
-    """The descriptor relu(w1 . mean_k(fused)), read back from
-    ``select_weights``: with A = I and B = 0 each channel's logit difference
-    is its descriptor entry, so log(a/b) recovers it (0 past the d-th)."""
+def descriptor_of(branches, w1):
+    """The descriptor relu(w1 . mean_k(channels)) of the joined branches,
+    read back from ``select_weights``: with A = I and B = 0 each channel's
+    logit difference is its descriptor entry, so log(a/b) recovers it (0
+    past the d-th)."""
     d, C = w1.shape
-    a, b = sk.select_weights(eg.Tensor(fused), params(w1, np.eye(C, d), np.zeros((C, d))))
+    tensors = [eg.Tensor(u) for u in branches]
+    a, b = sk.select_weights(tensors, params(w1, np.eye(C, d), np.zeros((C, d))))
     return np.log(a.data / b.data)
+
+
+def split(channels, at):
+    """(B,C,k) channels as the two branches [:, :at] and [:, at:]."""
+    return [eg.Tensor(channels[:, :at]), eg.Tensor(channels[:, at:])]
 
 
 def select(descriptor, branch_a, branch_b):
     """``select_weights`` on channels whose pooled statistic is
     ``descriptor``, padded with zero channels to the C rows of the branch
-    matrices.  Each channel is constant along k, so its mean is exact, and
-    with w1 the (d,C) identity and relu a no-op on a descriptor >= 0, the
-    descriptor reaches the branch logits unchanged."""
+    matrices, as one pair channel and the rest triples.  Each channel is
+    constant along k, so its mean is exact, and with w1 the (d,C) identity
+    and relu a no-op on a descriptor >= 0, the descriptor reaches the
+    branch logits unchanged."""
     assert (descriptor >= 0).all()
     batch, d = descriptor.shape
     C = branch_a.shape[0]
     stats = np.zeros((batch, C))
     stats[:, :d] = descriptor
-    fused = np.repeat(stats[:, :, None], 2, axis=2)
-    return sk.select_weights(eg.Tensor(fused), params(np.eye(d, C), branch_a, branch_b))
+    channels = np.repeat(stats[:, :, None], 2, axis=2)
+    branches = split(channels, 1) if C > 1 else [eg.Tensor(channels)]
+    return sk.select_weights(branches, params(np.eye(d, C), branch_a, branch_b))
 
 
 class TestPooling:
     def test_mean_example(self):
         u = np.array([[[2.0, 4.0, 6.0]]])
-        assert descriptor_of(u, np.eye(1))[0, 0] == pytest.approx(4.0)
+        assert descriptor_of([u], np.eye(1))[0, 0] == pytest.approx(4.0)
 
     def test_zero_and_constant_channels(self):
+        # one channel per branch: the means are joined in branch order
         u = np.zeros((1, 2, 3))
         u[0, 1] = 7.5
-        z = descriptor_of(u, np.eye(2))
+        z = descriptor_of([u[:, :1], u[:, 1:]], np.eye(2))
         assert z[0, 0] == 0.0
         assert z[0, 1] == pytest.approx(7.5)
 
+    def test_branch_means_join_in_order(self):
+        rng = np.random.default_rng(4)
+        u2, u3 = rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 5, 4))
+        w1 = np.abs(rng.standard_normal((7, 7)))
+        joined = descriptor_of([np.concatenate([u2, u3], axis=1)], w1)
+        assert descriptor_of([u2, u3], w1).tobytes() == joined.tobytes()
+
     def test_empty_embedding_axis(self):
         p = params(np.eye(2), np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(ShapeError):
-            sk.select_weights(eg.Tensor(np.zeros((1, 2, 0))), p)
-        with pytest.raises(ShapeError, match=r"expects \(B,C,k\)"):
-            sk.select_weights(eg.Tensor(np.zeros((1, 2))), p)
+        with pytest.raises(ShapeError, match="empty axis"):
+            sk.select_weights([eg.Tensor(np.zeros((1, 2, 0)))], p)
+        with pytest.raises(ShapeError, match=r"branches must be \(B,C_i,k\)"):
+            sk.select_weights([eg.Tensor(np.zeros((1, 2)))], p)
+        with pytest.raises(ShapeError, match=r"branches must be \(B,C_i,k\)"):
+            sk.select_weights([eg.Tensor(np.zeros((1, 1, 3))), eg.Tensor(np.zeros((1, 1, 2)))], p)
 
 
 class TestReducedDim:
@@ -100,12 +121,12 @@ class TestReducedDim:
 
 class TestReduce:
     def test_zero_matrix_gives_zero(self):
-        fused = rand(4, 6, 3, seed=2)
-        assert np.array_equal(descriptor_of(fused, np.zeros((3, 6))), np.zeros((4, 6)))
+        u = rand(4, 6, 3, seed=2)
+        assert np.array_equal(descriptor_of([u[:, :2], u[:, 2:]], np.zeros((3, 6))), np.zeros((4, 6)))
 
     def test_relu_clamps_negatives(self):
-        fused = np.ones((1, 2, 3))
-        s = descriptor_of(fused, np.array([[-1.0, -2.0], [1.0, 1.0]]))
+        u = np.ones((1, 2, 3))
+        s = descriptor_of([u[:, :1], u[:, 1:]], np.array([[-1.0, -2.0], [1.0, 1.0]]))
         assert s[0, 0] == 0.0
         assert s[0, 1] == pytest.approx(2.0)
 
@@ -150,34 +171,34 @@ class TestSelectSoftmax:
 class TestApplySelect:
     def test_arithmetic_example(self):
         # channel 0 is a pair channel, channel 1 a triple channel
-        fused = eg.Tensor(np.array([[[4.0, 0.0], [0.0, 4.0]]]))
+        channels = np.array([[[4.0, 0.0], [0.0, 4.0]]])
         a = eg.Tensor(np.array([[0.25, 0.25]]))
         b = eg.Tensor(np.array([[0.75, 0.75]]))
-        v = sk.apply_select(fused, a, b, num_pairs=1)
+        v = sk.apply_select(split(channels, 1), a, b, num_pairs=1)
         assert np.array_equal(v.data, [[[1.0, 0.0], [0.0, 3.0]]])
         assert np.array_equal(v.data.sum(axis=1), [[1.0, 3.0]])
 
     def test_weight_near_one_limit(self):
-        fused = eg.Tensor(np.array([[[2.0, -3.0], [5.0, 5.0]]]))
+        channels = np.array([[[2.0, -3.0], [5.0, 5.0]]])
         a = eg.Tensor(np.array([[1.0 - 1e-7, 1.0 - 1e-7]]))
         b = eg.Tensor(np.array([[1e-7, 1e-7]]))
-        v = sk.apply_select(fused, a, b, num_pairs=1)
+        v = sk.apply_select(split(channels, 1), a, b, num_pairs=1)
         np.testing.assert_allclose(v.data[0, 0], [2.0, -3.0], atol=1e-5)
         np.testing.assert_allclose(v.data[0, 1], [0.0, 0.0], atol=1e-5)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(20)
-        fused = rng.standard_normal((3, 7, 4))
+        channels = rng.standard_normal((3, 7, 4))
         aw = rng.uniform(0.01, 0.99, (3, 7))
         num_pairs = 3
         v = sk.apply_select(
-            eg.Tensor(fused), eg.Tensor(aw), eg.Tensor(1.0 - aw), num_pairs
+            split(channels, num_pairs), eg.Tensor(aw), eg.Tensor(1.0 - aw), num_pairs
         ).data
-        expect = np.empty_like(fused)
+        expect = np.empty_like(channels)
         for n in range(3):
             for c in range(7):
                 w = aw[n, c] if c < num_pairs else 1 - aw[n, c]
-                expect[n, c] = w * fused[n, c]
+                expect[n, c] = w * channels[n, c]
         np.testing.assert_allclose(v, expect, rtol=1e-12)
 
     def test_equals_padded_formula(self):
@@ -188,9 +209,7 @@ class TestApplySelect:
         E = eg.Tensor(rng.standard_normal((3, 4, 5)))
         u2, u3 = build_branch_2(E, layout), build_branch_3(E, layout)
         aw = rng.uniform(0.01, 0.99, (3, layout.num_channels))
-        v = sk.apply_select(
-            eg.concat_channels([u2, u3]), eg.Tensor(aw), eg.Tensor(1.0 - aw), layout.num_pairs
-        ).data
+        v = sk.apply_select([u2, u3], eg.Tensor(aw), eg.Tensor(1.0 - aw), layout.num_pairs).data
         pad2 = np.zeros((3, layout.num_channels, 5))
         pad2[:, : layout.num_pairs] = u2.data
         pad3 = np.zeros_like(pad2)
@@ -200,12 +219,12 @@ class TestApplySelect:
 
     def test_convex_combination_bound(self):
         rng = np.random.default_rng(21)
-        fused = rng.standard_normal((4, 6, 3))
+        channels = rng.standard_normal((4, 6, 3))
         aw = rng.uniform(0.0, 1.0, (4, 6))
         v = sk.apply_select(
-            eg.Tensor(fused), eg.Tensor(aw), eg.Tensor(1.0 - aw), num_pairs=2
+            split(channels, 2), eg.Tensor(aw), eg.Tensor(1.0 - aw), num_pairs=2
         ).data
-        bound = np.abs(fused).max(axis=-1)
+        bound = np.abs(channels).max(axis=-1)
         assert (np.abs(v).max(axis=-1) <= bound + 1e-12).all()
 
 
@@ -216,7 +235,7 @@ class TestInitAndEndToEnd:
         assert np.array_equal(params.branch_a.data, params.branch_b.data)
         assert params.w1.data.shape == (sk.reduced_dim(20, 8), 20)
         # fresh init means every channel weight is exactly 0.5
-        a, b = sk.select_weights(eg.Tensor(rand(5, 20, 4, seed=3)), params)
+        a, b = sk.select_weights(split(rand(5, 20, 4, seed=3), 6), params)
         assert np.all(a.data == 0.5) and np.all(b.data == 0.5)
 
     def test_full_layer_gradients_pass_fd_check(self):
@@ -228,9 +247,9 @@ class TestInitAndEndToEnd:
         target = rand(3, layout.num_channels, 4, seed=9)
 
         def loss_fn():
-            fused = eg.concat_channels([build_branch_2(E, layout), build_branch_3(E, layout)])
-            a, b = sk.select_weights(fused, sk_params)
-            v = sk.apply_select(fused, a, b, layout.num_pairs)
+            branches = [build_branch_2(E, layout), build_branch_3(E, layout)]
+            a, b = sk.select_weights(branches, sk_params)
+            v = sk.apply_select(branches, a, b, layout.num_pairs)
             diff = eg.sub(v, eg.Tensor(target))
             return eg.mean_all(eg.mul(diff, diff))
 
