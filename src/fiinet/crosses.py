@@ -10,9 +10,10 @@ is the plain Hadamard product of the participating field embeddings,
 downstream network absorb any per-cross scaling.
 
 Each branch holds only its own live channels: the pair branch is
-(B,C2,k) and the triple branch (B,C3,k).  The attention layer takes the
-two as a list and never joins them unscaled; a variant without attention
-joins them along the channel axis into its (B,C,k) DNN input.
+(B,C2,k) and the triple branch (B,C3,k).  The attention layer and the
+first DNN layer (``engine.branch_linear``) take the two as a list; the
+joined (B,C,k) DNN input, scaled by the attention weights where a variant
+has them, is only a temporary inside that layer.
 """
 
 from __future__ import annotations

@@ -22,6 +22,13 @@ rows again off the tape with ``_every_op_checked``, under which every op
 checks its output, so the error names the op that produced the value.
 Only the gathers drop rows, those their indices do not name, and they
 read leaf tables only; ``cross_products`` reads every field.
+
+A training step's memory is counted in (B,C,k) arrays, C the number of
+cross channels, so the tape keeps no such array it can do without.  The
+first DNN layer, ``branch_linear``, reads the cross branches as a list and
+keeps no joined input; ``Tensor.backward`` adds a later gradient in place
+into an array the node owns; and ``cross_products``' backward makes its
+channel-major copies one tile of rows at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +47,10 @@ import numpy as np
 from .errors import CheckpointError, NonFiniteError, ShapeError
 
 SIGMOID_EPS = 1e-7
+# cross_products' backward works on tiles of rows whose channel-major copy
+# of the gradient takes about this many bytes, near an L2 cache, so a
+# training step never holds a whole-batch (C,B,k) copy.
+CROSS_TILE_BYTES = 2 * 2**20
 
 _GRAD_ENABLED = True
 # Set only by _every_op_checked: every op then checks its own output.
@@ -112,8 +123,10 @@ class Tensor:
         it has none), so no (V,k) table is built; gathers read leaf tables
         only, so it never reaches an interior node.
         An interior node stores the first gradient to reach it as it is,
-        which may be a view shared with other nodes, and adds later ones out
-        of place, so no gradient array an op returned is ever written.
+        which may be a view shared with other nodes.  A later one is added in
+        place only into an array the node owns: one an op handed over as
+        ``_Fresh``, or a sum this sweep made.  Any other is added out of
+        place, so no array that another node may read is ever written.
         An interior node drops its gradient once its own backward has run,
         so after the sweep only leaves hold gradients.
         """
@@ -141,6 +154,7 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data) if self.grad is None else self.grad + 1
+        owned: set[int] = set()  # interior nodes whose gradient may be written
         for node in reversed(topo):
             if node._backward is None or node.grad is None:
                 continue
@@ -149,8 +163,19 @@ class Tensor:
             for parent, pg in zip(node._parents, parent_grads):
                 if pg is None:
                     continue
+                fresh = type(pg) is _Fresh
+                if fresh:
+                    pg = pg.array
                 if parent._backward is not None:
-                    parent.grad = pg if parent.grad is None else parent.grad + pg
+                    if parent.grad is None:
+                        parent.grad = pg
+                        if fresh:
+                            owned.add(id(parent))
+                    elif id(parent) in owned:
+                        parent.grad += pg
+                    else:
+                        parent.grad = parent.grad + pg
+                        owned.add(id(parent))
                 elif parent.requires_grad:
                     if type(pg) is _RowGrad:
                         if parent.grad is None:
@@ -160,6 +185,17 @@ class Tensor:
                         parent.grad = np.array(pg, dtype=parent.data.dtype)
                     else:
                         parent.grad += pg
+
+
+class _Fresh:
+    """A gradient array that its op made and shares with nothing, so the
+    node it reaches may add later gradients into it in place.  Only
+    ``Tensor.backward`` reads it."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
 
 
 class _RowGrad:
@@ -439,7 +475,10 @@ def cross_products(x: Tensor, order: int) -> Tensor:
     calls does not grow with C.  Backward is analytic,
     dx_m += g_c * (product of the other members), run by run on
     channel-major copies: a run's shared product is made once and its last
-    fields are one contiguous block.
+    fields are one contiguous block.  The copies are made for one tile of
+    rows at a time, each about CROSS_TILE_BYTES of gradient; every row's
+    sums run over the same channels in the same order, so the bits do not
+    depend on the tile size.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"cross_products expects (B,f,k), got {x.data.shape}")
@@ -453,46 +492,30 @@ def cross_products(x: Tensor, order: int) -> Tensor:
         out *= np.take(xd, col, axis=1)
 
     def backward(g):
-        # channel-major copies make every block below a contiguous slab
-        gt = np.ascontiguousarray(np.moveaxis(g, 1, 0))
-        xt = np.ascontiguousarray(np.moveaxis(xd, 1, 0))
-        dxt = np.zeros_like(xt)
-        for start, stop, head, last in runs:
-            p = xt[head[0]]
-            for m in head[1:]:
-                p = p * xt[m]
-            gc = gt[start:stop]
-            dxt[last] += gc * p
-            dp = np.einsum("nbk,nbk->bk", gc, xt[last])
-            for q, m in enumerate(head):
-                others = dp
-                for o, n in enumerate(head):
-                    if o != q:
-                        others = others * xt[n]
-                dxt[m] += others
-        return (np.moveaxis(dxt, 0, 1),)
+        dx = np.empty_like(xd)
+        rows = max(1, CROSS_TILE_BYTES // max(1, g.itemsize * math.prod(g.shape[1:])))
+        for r in range(0, xd.shape[0], rows):
+            # channel-major copies make every block below a contiguous slab
+            gt = np.ascontiguousarray(np.moveaxis(g[r:r + rows], 1, 0))
+            xt = np.ascontiguousarray(np.moveaxis(xd[r:r + rows], 1, 0))
+            dxt = np.zeros_like(xt)
+            for start, stop, head, last in runs:
+                p = xt[head[0]]
+                for m in head[1:]:
+                    p = p * xt[m]
+                gc = gt[start:stop]
+                dxt[last] += gc * p
+                dp = np.einsum("nbk,nbk->bk", gc, xt[last])
+                for q, m in enumerate(head):
+                    others = dp
+                    for o, n in enumerate(head):
+                        if o != q:
+                            others = others * xt[n]
+                    dxt[m] += others
+            dx[r:r + rows] = np.moveaxis(dxt, 0, 1)
+        return (_Fresh(dx),)
 
     return _make(out, (x,), backward, "cross_products")
-
-
-def concat_channels(tensors: list[Tensor]) -> Tensor:
-    """Join (B,C_i,...) tensors along the channel axis, in order."""
-    if not tensors:
-        raise ShapeError("concat_channels needs at least one tensor")
-    first = tensors[0].data
-    for t in tensors:
-        if (t.data.ndim < 2 or t.data.dtype != first.dtype or t.data.shape[0] != first.shape[0]
-                or t.data.shape[2:] != first.shape[2:]):
-            raise ShapeError(
-                "concat_channels: inputs must agree on dtype and all axes but the channel axis"
-            )
-    bounds = list(accumulate((t.data.shape[1] for t in tensors), initial=0))
-    out = np.concatenate([t.data for t in tensors], axis=1)
-
-    def backward(g):
-        return tuple(g[:, lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-
-    return _make(out, tuple(tensors), backward, "concat_channels")
 
 
 def join_columns(left: Tensor, right: Tensor, split: int) -> Tensor:
@@ -537,7 +560,8 @@ def scale_channels(xs: list[Tensor], w: Tensor) -> Tensor:
     The branches are joined into a fresh buffer that is scaled in place, so
     the unscaled join is never kept.  Backward hands branch i the slice
     g[:, lo:hi] * w[:, lo:hi] and builds the weight gradient per branch from
-    the branch arrays themselves."""
+    the branch arrays themselves.  The model does not call it:
+    ``branch_linear`` scales the same way without keeping the output."""
     bounds = _branch_bounds(xs, "scale_channels")
     batch = xs[0].data.shape[0]
     if w.data.shape != (batch, bounds[-1]) or w.data.dtype != xs[0].data.dtype:
@@ -559,6 +583,57 @@ def scale_channels(xs: list[Tensor], w: Tensor) -> Tensor:
         return (*grads, gw)
 
     return _make(out, (*xs, w), backward, "scale_channels")
+
+
+def branch_linear(xs: list[Tensor], w: Tensor | None, weight: Tensor) -> Tensor:
+    """A dense layer over the joined (B,C_i,k) branches: (B,m) out, x @ weight.T
+    for the (B, C*k) input x, with weight (m, C*k) and C = sum of C_i.  With
+    a (B,C) ``w``, each channel vector of x is first scaled by its weight,
+    the bits of ``scale_channels`` then ``reshape`` then ``linear``.
+
+    x is a temporary that the tape does not keep; for one branch and no
+    ``w`` it is a view of the branch.  Backward builds x again only for the
+    weight gradient, before it makes the input gradient g @ weight, and
+    scales the branch gradients in place in that buffer, whose slices it
+    hands over as ``_Fresh``."""
+    bounds = _branch_bounds(xs, "branch_linear")
+    first = xs[0].data
+    batch, channels, k = first.shape[0], bounds[-1], first.shape[2]
+    if weight.data.ndim != 2 or weight.data.shape[1] != channels * k:
+        raise ShapeError(
+            f"branch_linear: weight {weight.data.shape} does not fit "
+            f"{len(xs)} branches of {channels} channels of width {k}"
+        )
+    if w is not None and (w.data.shape != (batch, channels) or w.data.dtype != first.dtype):
+        raise ShapeError(
+            f"branch_linear: channel weight {w.data.shape} {w.data.dtype} does not fit "
+            f"{len(xs)} branches of {channels} channels {first.dtype}"
+        )
+
+    def joined():
+        if w is None and len(xs) == 1:
+            return first.reshape(batch, channels * k)
+        x = np.concatenate([t.data for t in xs], axis=1)
+        if w is not None:
+            x *= w.data[:, :, None]
+        return x.reshape(batch, channels * k)
+
+    out = joined() @ weight.data.T
+
+    def backward(g):
+        g_weight = g.T @ joined()
+        gx = (g @ weight.data).reshape(batch, channels, k)
+        grads = [_Fresh(gx[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        if w is None:
+            return (*grads, g_weight)
+        gw = np.empty_like(w.data)
+        for x, lo, hi in zip(xs, bounds, bounds[1:]):
+            np.einsum("bck,bck->bc", gx[:, lo:hi], x.data, out=gw[:, lo:hi])
+        gx *= w.data[:, :, None]
+        return (*grads, gw, g_weight)
+
+    parents = (*xs, weight) if w is None else (*xs, w, weight)
+    return _make(out, parents, backward, "branch_linear")
 
 
 # ---------------------------------------------------------------------------

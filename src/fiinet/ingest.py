@@ -103,11 +103,25 @@ class Vocabulary:
         return values[index - 1] if 0 < index <= len(values) else None
 
     def encode_row(self, row: list[str]) -> np.ndarray:
+        """Each value's index in its field, OOV_INDEX if unseen.  A value
+        that cannot be a key, such as a list, raises DataError naming its
+        field."""
         if len(row) != self.num_fields:
             raise DataError(f"row has {len(row)} fields, schema expects {self.num_fields}")
-        return np.array(
-            [self.maps[i].get(v, OOV_INDEX) for i, v in enumerate(row)], dtype=np.int64
-        )
+        try:
+            return np.array(
+                [self.maps[i].get(v, OOV_INDEX) for i, v in enumerate(row)], dtype=np.int64
+            )
+        except TypeError:
+            for schema, v in zip(self.schemas, row):
+                try:
+                    hash(v)
+                except TypeError:
+                    raise DataError(
+                        f"field '{schema.field_name}': value {v!r} of type "
+                        f"{type(v).__name__} is not hashable"
+                    ) from None
+            raise
 
     def save(self, path) -> None:
         """For each field: a line ``field_name TAB count``, then its ``count``

@@ -212,10 +212,15 @@ class CtrModel:
     def _embeddings(self, idx: np.ndarray) -> eg.Tensor:
         return eg.gather_fields(self._embed_tables, idx)
 
-    def _dnn(self, x: eg.Tensor, training: bool, rng) -> eg.Tensor:
-        h = x
+    def _dnn(self, branches: list[eg.Tensor], weights: eg.Tensor | None,
+             training: bool, rng) -> eg.Tensor:
+        """The relu DNN over the cross branches.  Its first layer reads them
+        through ``branch_linear``, each channel scaled by its (B,C) weight
+        if ``weights`` is given, so no (B,C,k) input is kept on the tape."""
+        h = None
         for w, b in self._dnn_layers:
-            h = eg.relu(eg.add_rowvec(eg.linear(h, w), b))
+            h = eg.branch_linear(branches, weights, w) if h is None else eg.linear(h, w)
+            h = eg.relu(eg.add_rowvec(h, b))
             h = eg.dropout(h, self.config.dropout, training, rng)
         head_w, head_b = self._dnn_head
         return eg.add_rowvec(eg.linear(h, head_w), head_b)
@@ -271,13 +276,12 @@ class CtrModel:
         if self.layout is not None:
             emb = self._embeddings(idx)
             if self.sk_params is None:
-                branches = self._branches(emb)
-                v = branches[0] if len(branches) == 1 else eg.concat_channels(branches)
+                branches, weights = self._branches(emb), None
             else:
                 branches, a, b = self.attention_weights(emb)
-                v = sk.apply_select(branches, a, b, self.layout.num_pairs)
-            flat = eg.reshape(v, (batch, self.layout.num_channels * self.config.embedding_dim))
-            z = eg.add(z, self._dnn(flat, training, rng))
+                # a_c scales pair channel c, b_c triple channel c
+                weights = eg.join_columns(a, b, self.layout.num_pairs)
+            z = eg.add(z, self._dnn(branches, weights, training, rng))
         elif self.config.variant == "fm":
             z = eg.add(z, self._fm_score(self._embeddings(idx)))
         return eg.sigmoid(eg.reshape(z, (batch,)))

@@ -8,8 +8,10 @@ it through a reduce/excite bottleneck, scores every channel with two branch
 matrices and normalizes the pair of logits with a two-way softmax,
 yielding convex weights (a_c, b_c) per channel.  Each channel belongs to
 one branch, so the output map scales it by one weight: a_c on pair
-channels, b_c on triple channels; ``apply_select`` joins and scales the
-branches in one op.
+channels, b_c on triple channels.  The model joins those into one (B,C)
+weight, w = [a[:, :C2] | b[:, C2:]] (``engine.join_columns``), and its
+first DNN layer (``engine.branch_linear``) scales the branches by it as it
+reads them, so the output map itself is never kept.
 
 The two-way softmax is computed as a sigmoid of the logit difference, which
 is the max-subtraction form, and the second weight as 1 - a_c, so the pair
@@ -88,14 +90,6 @@ def select_weights(branches: list[eg.Tensor], params: SkParams):
     logits_b = eg.linear(descriptor, params.branch_b)
     a = eg.sigmoid(eg.sub(logits_a, logits_b))
     return a, eg.one_minus(a)
-
-
-def apply_select(branches: list[eg.Tensor], a: eg.Tensor, b: eg.Tensor,
-                 num_pairs: int) -> eg.Tensor:
-    """Attention-weighted output map (B,C,k) of the (B,C_i,k) branches: pair
-    channel c scaled by a_c, triple channel c by b_c, as one scale of the
-    joined branches by w = [a[:, :C2] | b[:, C2:]]."""
-    return eg.scale_channels(branches, eg.join_columns(a, b, num_pairs))
 
 
 def channel_weight_means(a: np.ndarray, b: np.ndarray, layout: ChannelLayout) -> np.ndarray:

@@ -158,10 +158,38 @@ class TestPrimitiveGradients:
         # at order 4 a run's head holds three fields
         check_op(lambda ts: eg.cross_products(ts[0], order), [randn(2, 5, 3)])
 
-    def test_concat_channels(self):
+    def test_branch_linear(self):
         check_op(
-            lambda ts: eg.concat_channels(list(ts)), [randn(2, 3, 4), randn(2, 1, 4), randn(2, 2, 4)]
+            lambda ts: eg.branch_linear(ts[:3], None, ts[3]),
+            [randn(2, 3, 4), randn(2, 1, 4), randn(2, 2, 4), randn(5, 24)],
         )
+
+    def test_branch_linear_with_channel_weights(self):
+        check_op(
+            lambda ts: eg.branch_linear(ts[:2], ts[2], ts[3]),
+            [randn(2, 3, 4), randn(2, 2, 4), randn(2, 5), randn(3, 20)],
+        )
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_branch_linear_one_branch(self, weighted):
+        check_op(
+            lambda ts: eg.branch_linear(ts[:1], ts[1] if weighted else None, ts[-1]),
+            [randn(2, 3, 4), *([randn(2, 3)] if weighted else []), randn(3, 12)],
+        )
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("mean_first", [False, True])
+    def test_branches_read_by_branch_linear_and_mean_lastdim(self, weighted, mean_first):
+        # each leaf branch receives two gradients, a _Fresh slice and a
+        # broadcast mean gradient, in either order
+        def build(ts):
+            branches, weight, w_mean = ts[:2], ts[-2], ts[-1]
+            dense = eg.branch_linear(branches, ts[2] if weighted else None, weight)
+            pooled = eg.linear(eg.mean_lastdim(branches), w_mean)
+            return eg.add(pooled, dense) if mean_first else eg.add(dense, pooled)
+
+        check_op(build, [randn(2, 3, 4), randn(2, 2, 4), *([randn(2, 5)] if weighted else []),
+                         randn(3, 20), randn(3, 5)])
 
     def test_join_columns(self):
         check_op(lambda ts: eg.join_columns(ts[0], ts[1], 2), [randn(3, 5), randn(3, 5)])
@@ -231,14 +259,16 @@ class TestOpSemantics:
         with pytest.raises(ShapeError):
             eg.scale_channels([eg.Tensor(np.zeros((2, 3, 4)))], eg.Tensor(np.zeros((2, 4))))
 
-    @pytest.mark.parametrize("op", ["mean_lastdim", "scale_channels"])
+    @pytest.mark.parametrize("op", ["mean_lastdim", "scale_channels", "branch_linear"])
     def test_branch_ops_refuse_mismatched_branches(self, op):
         def call(arrays):
             branches = [eg.Tensor(a) for a in arrays]
             if op == "mean_lastdim":
                 return eg.mean_lastdim(branches)
             width = sum(a.shape[1] for a in arrays)
-            return eg.scale_channels(branches, eg.Tensor(np.zeros((2, width))))
+            if op == "scale_channels":
+                return eg.scale_channels(branches, eg.Tensor(np.zeros((2, width))))
+            return eg.branch_linear(branches, None, eg.Tensor(np.zeros((1, 3 * width))))
 
         cases = [
             [np.zeros((2, 4, 3)), np.zeros((3, 5, 3))],  # batch axes differ
@@ -291,20 +321,77 @@ class TestOpSemantics:
         assert np.concatenate(got, axis=1).tobytes() == want.tobytes()
         assert weight_grad.tobytes() == np.einsum("bck,bck->bc", g_scale, joined).tobytes()
 
-    def test_concat_channels_refuses_mismatched_inputs(self):
-        cases = [
-            [np.zeros((2, 4, 3)), np.zeros((2, 5, 4))],  # trailing axes differ
-            [np.zeros((2, 4, 3)), np.zeros((3, 5, 3))],  # batch axes differ
-            [np.zeros((2, 4, 3)), np.zeros((2, 5, 3), np.float32)],
-            [np.zeros(2), np.zeros(2)],  # no channel axis
-        ]
-        for arrays in cases:
-            with pytest.raises(ShapeError, match="concat_channels: inputs must agree"):
-                eg.concat_channels([eg.Tensor(a) for a in arrays])
+    @pytest.mark.parametrize("weight", [
+        np.zeros((3, 26)),  # one column short
+        np.zeros((3, 28)),  # one column over
+        np.zeros(27),
+        np.zeros((3, 27, 1)),
+    ])
+    def test_branch_linear_refuses_a_dense_weight_that_does_not_fit(self, weight):
+        branches = [eg.Tensor(np.zeros((2, 4, 3))), eg.Tensor(np.zeros((2, 5, 3)))]
+        with pytest.raises(ShapeError, match=r"^branch_linear: weight .* does not fit 2 branches "
+                                             r"of 9 channels of width 3$"):
+            eg.branch_linear(branches, None, eg.Tensor(weight))
 
-    def test_concat_channels_refuses_an_empty_list(self):
-        with pytest.raises(ShapeError, match="needs at least one tensor"):
-            eg.concat_channels([])
+    @pytest.mark.parametrize("w", [
+        np.zeros((2, 8)),  # one channel short
+        np.zeros((2, 10)),  # one channel over
+        np.zeros((3, 9)),  # batch differs
+        np.zeros((2, 9, 1)),
+        np.zeros((2, 9), np.float32),  # dtype differs
+    ])
+    def test_branch_linear_refuses_a_channel_weight_that_does_not_fit(self, w):
+        branches = [eg.Tensor(np.zeros((2, 4, 3))), eg.Tensor(np.zeros((2, 5, 3)))]
+        with pytest.raises(ShapeError, match="^branch_linear: channel weight .* does not fit 2 "
+                                             "branches of 9 channels"):
+            eg.branch_linear(branches, eg.Tensor(w), eg.Tensor(np.zeros((3, 27))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("widths", [(45, 120), (7,)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_branch_linear_matches_scale_reshape_linear_bitwise(self, dtype, widths, weighted):
+        # the ops branch_linear replaces: the joined branches, scaled, viewed
+        # as (B, C*k) and fed to linear; an unweighted join is a scale by 1,
+        # which changes no bit of the input or of the branch gradients
+        rng = np.random.default_rng(sum(widths))
+        batch, k, m = 37, 16, 24
+        arrays = [rng.standard_normal((batch, c, k)).astype(dtype) for c in widths]
+        channels = sum(widths)
+        w = (rng.uniform(0.1, 0.9, (batch, channels)) if weighted
+             else np.ones((batch, channels))).astype(dtype)
+        weight = rng.standard_normal((m, channels * k)).astype(dtype)
+        g = rng.standard_normal((batch, m)).astype(dtype)
+
+        def run(fused):
+            leaves = [eg.Tensor(a, requires_grad=True) for a in (*arrays, w, weight)]
+            *branches, w_t, weight_t = leaves
+            if fused:
+                out = eg.branch_linear(branches, w_t if weighted else None, weight_t)
+            else:
+                scaled = eg.scale_channels(branches, w_t)
+                out = eg.linear(eg.reshape(scaled, (batch, channels * k)), weight_t)
+            total(eg.mul(out, eg.Tensor(g))).backward()
+            grads = [t.grad for t in leaves if weighted or t is not w_t]
+            return [out.data.tobytes(), *(a.tobytes() for a in grads)]
+
+        assert run(True) == run(False)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("tile_bytes", [1, 700, 2**12])
+    def test_cross_products_backward_bits_do_not_depend_on_the_tile(self, order, tile_bytes,
+                                                                     monkeypatch):
+        # 1 byte is one row a tile; 700 and 4 KiB cut the 37 rows unevenly
+        rng = np.random.default_rng(order)
+        x = rng.standard_normal((37, 6, 8)).astype(np.float32)
+        g = rng.standard_normal((37, math.comb(6, order), 8)).astype(np.float32)
+
+        def dx():
+            (out,) = eg.cross_products(eg.Tensor(x, requires_grad=True), order)._backward(g)
+            return out.array
+
+        whole = dx()
+        monkeypatch.setattr(eg, "CROSS_TILE_BYTES", tile_bytes)
+        assert dx().tobytes() == whole.tobytes()
 
     def test_no_silent_broadcast(self):
         with pytest.raises(ShapeError):
@@ -464,6 +551,141 @@ class TestRowSparseGradients:
         w = eg.Tensor(np.ones((2, 2)), requires_grad=True)
         total(eg.mul(eg.gather_rows(table, np.array([0, 2])), w)).backward()
         assert table.grad is None and np.array_equal(w.grad, np.ones((2, 2)))
+
+
+class Watched(np.ndarray):
+    """An array that logs each in-place add into it."""
+
+    adds: list = []
+
+    def __iadd__(self, other):
+        Watched.adds.append(self)
+        return super().__iadd__(other)
+
+
+def watched(*values):
+    return np.array(values, dtype=np.float64).view(Watched)
+
+
+def fan_in(node, grads):
+    """A tape node whose backward hands ``node`` each of ``grads``, in
+    order, as if ``node`` fed it once per gradient."""
+    return eg._make(np.zeros(1), (node,) * len(grads), lambda g: tuple(grads), "fan_in")
+
+
+def returned_arrays_stay_unchanged(out):
+    """Run ``total(out).backward()`` and check that no gradient array a node
+    handed to its parents, other than a _Fresh one, was written."""
+    loss = total(out)
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    handed = []
+
+    def spy(backward):
+        def run(g):
+            grads = backward(g)
+            handed.extend((a, a.copy()) for a in grads if type(a) is np.ndarray)
+            return grads
+        return run
+
+    for node in nodes.values():
+        node._backward = spy(node._backward)
+    loss.backward()
+    assert handed and all(a.tobytes() == copy.tobytes() for a, copy in handed)
+
+
+class TestInPlaceSums:
+    """Tensor.backward adds into a gradient in place only when the node owns
+    it: a _Fresh array or a sum the sweep made."""
+
+    @pytest.fixture(autouse=True)
+    def clear_log(self):
+        Watched.adds.clear()
+
+    def received(self, grads):
+        """The gradient an interior node passes to its backward after
+        ``grads`` reach it, and the node's input leaf."""
+        x = eg.Tensor(np.zeros(2), requires_grad=True)
+        node = eg.reshape(x, (2,))
+        got = []
+        backward = node._backward
+        node._backward = lambda g: (got.append(g), backward(g))[1]
+        total(fan_in(node, grads)).backward()
+        return got[0], x
+
+    def test_shared_gradients_are_summed_once_then_in_place(self):
+        a, b, c = watched(1, 2), watched(10, 20), watched(100, 200)
+        g, x = self.received([a, b, c])
+        assert [id(t) for t in Watched.adds] == [id(g)]
+        assert all(g is not t for t in (a, b, c))
+        assert np.array_equal(g, [111, 222]) and np.array_equal(x.grad, [111, 222])
+        assert [a.tolist(), b.tolist(), c.tolist()] == [[1, 2], [10, 20], [100, 200]]
+
+    def test_later_gradients_add_into_a_fresh_one(self):
+        fresh, a = watched(1, 2), watched(10, 20)
+        g, x = self.received([eg._Fresh(fresh), a])
+        assert g is fresh and [id(t) for t in Watched.adds] == [id(fresh)]
+        assert np.array_equal(fresh, [11, 22]) and a.tolist() == [10, 20]
+
+    def test_a_fresh_gradient_after_a_shared_one_is_summed_out_of_place(self):
+        a, fresh = watched(1, 2), watched(10, 20)
+        g, _ = self.received([a, eg._Fresh(fresh)])
+        assert not Watched.adds and g is not a and g is not fresh
+        assert np.array_equal(g, [11, 22]) and a.tolist() == [1, 2] and fresh.tolist() == [10, 20]
+
+    @pytest.mark.parametrize("grads", [[1], [1, 2], [2, 1]])
+    def test_a_leaf_receives_fresh_gradients(self, grads):
+        # grads: 1 is a _Fresh array, 2 a shared one
+        arrays = {1: np.array([1.0, 2.0]), 2: np.array([10.0, 20.0])}
+        leaf = eg.Tensor(np.zeros(2), requires_grad=True)
+        total(fan_in(leaf, [eg._Fresh(arrays[1]) if n == 1 else arrays[2]
+                            for n in grads])).backward()
+        assert np.array_equal(leaf.grad, sum(arrays[n] for n in grads))
+
+    def test_the_same_array_handed_to_two_parents_is_not_written(self):
+        # add hands one array to both its parents, and a gets a second one
+        def build(ts):
+            a, b = eg.scale(ts[0], 2.0), eg.scale(ts[0], 3.0)
+            return eg.add(eg.add(a, b), a)
+
+        check_op(build, [randn(2, 3)])
+        returned_arrays_stay_unchanged(build([eg.Tensor(randn(2, 3), requires_grad=True)]))
+
+    def test_a_reshape_view_is_not_written(self):
+        def build(ts):
+            s = eg.scale(ts[0], 2.0)
+            return eg.add(eg.reshape(eg.reshape(s, (6,)), (2, 3)), s)
+
+        check_op(build, [randn(2, 3)])
+        returned_arrays_stay_unchanged(build([eg.Tensor(randn(2, 3), requires_grad=True)]))
+
+    def test_slices_are_not_written(self):
+        # stack_fields hands s two slices of one array, and s gets a third
+        # gradient from the add
+        def build(ts):
+            s, t = eg.scale(ts[0], 2.0), eg.mul(ts[0], ts[0])
+            return eg.add(eg.mean_lastdim([eg.stack_fields([s, t, s])]), s)
+
+        check_op(build, [randn(2, 3)])
+        returned_arrays_stay_unchanged(build([eg.Tensor(randn(2, 3), requires_grad=True)]))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_gradients_of_interior_branches_are_not_written(self, weighted):
+        # the model's shape: the branches feed the pooled statistic, which
+        # gives the channel weights, and branch_linear
+        def build(ts):
+            branches = [eg.scale(ts[0], 2.0), eg.scale(ts[1], 2.0)]
+            mean = eg.mean_lastdim(branches)
+            w = eg.sigmoid(mean) if weighted else None
+            return eg.add(eg.branch_linear(branches, w, ts[2]), eg.linear(mean, ts[3]))
+
+        arrays = [randn(2, 3, 4), randn(2, 2, 4), randn(5, 20), randn(5, 5)]
+        check_op(build, arrays)
+        returned_arrays_stay_unchanged(build([eg.Tensor(a, requires_grad=True) for a in arrays]))
 
 
 class TestGatherFields:

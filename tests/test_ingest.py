@@ -61,6 +61,17 @@ class TestBuildVocabulary:
             idx = vocab.encode_row(row)
             assert [vocab.decode_value(fi, int(i)) for fi, i in enumerate(idx)] == row
 
+    @pytest.mark.parametrize("value,shown", [
+        (["x"], "['x'] of type list"),
+        ({"x": 1}, "{'x': 1} of type dict"),
+        (("x", ["y"]), "('x', ['y']) of type tuple"),
+    ])
+    def test_unhashable_value_names_its_field(self, value, shown):
+        vocab = vocabulary_of([["a", "b"]], ["f0", "f1"])
+        message = re.escape(f"field 'f1': value {shown} is not hashable")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            vocab.encode_row(["a", value])
+
     def test_oov_closure_never_errors(self):
         vocab = vocabulary_of([["a"]], ["f"])
         for junk in ["", "weird\tvalue", "0", "a "]:

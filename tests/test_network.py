@@ -101,25 +101,25 @@ def ten_field_fiinet():
     return CtrModel(schemas, ModelConfig(embedding_dim=4, hidden_sizes=(8, 4)))
 
 
-def test_fiinet_forward_records_28_tape_nodes_at_10_fields():
+def test_fiinet_forward_records_26_tape_nodes_at_10_fields():
     # two gathers (one per table family), sum_fields and add_rowvec for the
-    # linear part, and 24 nodes for the crosses, attention, DNN and output
+    # linear part, and 22 nodes for the crosses, attention, DNN and output
     out = ten_field_fiinet().forward(np.zeros((3, 10), dtype=np.int64))
-    assert len(tape(out)) == 28
+    assert len(tape(out)) == 26
 
 
-def test_fiinet_training_step_records_38_tape_nodes_at_10_fields():
-    # the forward's 28, a dropout node per hidden layer, and 8 for the loss:
+def test_fiinet_training_step_records_36_tape_nodes_at_10_fields():
+    # the forward's 26, a dropout node per hidden layer, and 8 for the loss:
     # clamp, two mul, one_minus, add, one log, mean_all and neg
     loss = ten_field_fiinet().loss(
         np.zeros((3, 10), dtype=np.int64), [0, 1, 1], training=True, rng=np.random.default_rng(0)
     )
-    assert len(tape(loss)) == 38
+    assert len(tape(loss)) == 36
 
 
 def test_fiinet_training_step_keeps_two_cross_width_arrays_at_10_fields():
-    # the tape holds the pair and triple branches, C·k wide together, and
-    # the scaled DNN input, C·k wide; the unscaled (B,C,k) join is not kept
+    # the tape holds the pair and the triple branch, C2·k and C3·k wide;
+    # the (B,C,k) DNN input, scaled or not, is not kept
     model = ten_field_fiinet()
     loss = model.loss(
         np.zeros((3, 10), dtype=np.int64), [0, 1, 1], training=True, rng=np.random.default_rng(0)
@@ -129,7 +129,29 @@ def test_fiinet_training_step_keeps_two_cross_width_arrays_at_10_fields():
     # a reshape's output is a view: count each buffer once, by its owner
     buffers = {id(b): b for b in (n.data if n.data.base is None else n.data.base for n in tape(loss))}
     widths = sorted(b.size // 3 for b in buffers.values())  # 3 rows
-    assert [w for w in widths if w in cross_widths] == cross_widths
+    assert [w for w in widths if w in cross_widths] == cross_widths[:2]
+
+
+def test_fiinet_training_step_peaks_below_five_cross_arrays():
+    # tracemalloc peak of one float32 step (zero_grad, the loss with
+    # dropout, backward) after a first one, in (B,C,k) float32 arrays: 4.5
+    # with the first DNN layer reading the branches and in-place gradient
+    # sums, 5.6 when the tape kept the scaled (B,C,k) DNN input
+    schemas = [FieldSchema(f"f{i}", i, 5) for i in range(10)]
+    model = CtrModel(schemas, ModelConfig(embedding_dim=16))
+    rng = np.random.default_rng(0)
+    x, y = rng.integers(0, 5, size=(256, 10)), rng.integers(0, 2, size=256)
+    for traced in (False, True):
+        if traced:
+            tracemalloc.start()
+        try:
+            model.params.zero_grad()
+            model.loss(x, y, training=True, rng=rng).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    cross_array = 256 * model.layout.num_channels * 16 * 4
+    assert peak <= 4.8 * cross_array, peak / cross_array
 
 
 def test_backward_memory_does_not_grow_with_vocabulary():

@@ -72,8 +72,9 @@ OP_CASES = {
     ),
     "pad_channels": (lambda x: eg.pad_channels(x, 4, 1), [values((2, 2, 3))], None),
     "cross_products": (lambda x: eg.cross_products(x, 2), [values((2, 4, 3))], None),
-    "concat_channels": (
-        lambda *ts: eg.concat_channels(list(ts)), [values((2, 1, 3)), values((2, 2, 3), 1)], None,
+    "branch_linear": (
+        lambda x0, x1, w, weight: eg.branch_linear([x0, x1], w, weight),
+        [values((2, 1, 3)), values((2, 2, 3), 1), values((2, 3), 2), values((2, 9), 3)], None,
     ),
     "join_columns": (
         lambda a, b: eg.join_columns(a, b, 2), [values((3, 4)), values((3, 4), 1)],
@@ -198,7 +199,9 @@ def named_op(name, path):
         return "gather_fields"
     if name in ("linear/bias", "dnn/b0", "dnn/head_b"):
         return "add_rowvec"
-    return "linear"  # dnn/w0, dnn/head_w and the sk/ matrices
+    if name == "dnn/w0":
+        return "branch_linear"
+    return "linear"  # dnn/head_w and the sk/ matrices
 
 
 def outcome(run):

@@ -1,6 +1,8 @@
 """Select stage: the channel join of the variants without attention, and
 the pooling, bottleneck, two-way softmax and weighted map over the branch
-list, and the per-channel attention report."""
+list, and the per-channel attention report.  The joined and the weighted
+maps exist only inside the first DNN layer, ``engine.branch_linear``; the
+tests read them out through an identity layer."""
 
 import numpy as np
 import pytest
@@ -16,16 +18,26 @@ def rand(*shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+def output_map(branches, w=None):
+    """The (B,C,k) map that ``engine.branch_linear`` reads from the (B,C_i,k)
+    ``branches``, each channel scaled by the (B,C) ``w`` if given: its
+    output under an identity weight, whose sums add only exact zeros."""
+    batch, k = branches[0].data.shape[0], branches[0].data.shape[2]
+    channels = sum(t.data.shape[1] for t in branches)
+    out = eg.branch_linear(branches, w, eg.Tensor(np.eye(channels * k)))
+    return out.data.reshape(batch, channels, k)
+
+
 class TestFuse:
     # the join of the variants without attention: pair channels then
-    # triple channels, joined by eg.concat_channels; its refusals are tested
-    # in tests/test_engine.py.  The attention path never builds it.
+    # triple channels, read by branch_linear with no channel weight; its
+    # refusals are tested in tests/test_engine.py
     def test_fuse_equals_concat_of_live_channels(self):
         layout = ChannelLayout.build(4)
         E = eg.Tensor(rand(3, 4, 5, seed=1))
         u2 = build_branch_2(E, layout)
         u3 = build_branch_3(E, layout)
-        fused = eg.concat_channels([u2, u3]).data
+        fused = output_map([u2, u3])
         # independent concat oracle
         concat = np.concatenate([u2.data, u3.data], axis=1)
         assert np.array_equal(fused, concat)
@@ -33,8 +45,8 @@ class TestFuse:
         assert np.array_equal(fused[:, : layout.num_pairs], u2.data)
 
     def test_fuse_zero_branches(self):
-        fused = eg.concat_channels([eg.Tensor(np.zeros((2, 1, 3))), eg.Tensor(np.zeros((2, 3, 3)))])
-        assert np.array_equal(fused.data, np.zeros((2, 4, 3)))
+        fused = output_map([eg.Tensor(np.zeros((2, 1, 3))), eg.Tensor(np.zeros((2, 3, 3)))])
+        assert np.array_equal(fused, np.zeros((2, 4, 3)))
 
 
 def params(w1, branch_a, branch_b):
@@ -168,32 +180,38 @@ class TestSelectSoftmax:
         assert 0.0 < b.data[0, 0] < 1.0
 
 
+def apply_select(branches, a, b, num_pairs):
+    """The attention-weighted map: a_c scales pair channel c, b_c triple
+    channel c, through the joined weight the model builds."""
+    return output_map(branches, eg.join_columns(a, b, num_pairs))
+
+
 class TestApplySelect:
     def test_arithmetic_example(self):
         # channel 0 is a pair channel, channel 1 a triple channel
         channels = np.array([[[4.0, 0.0], [0.0, 4.0]]])
         a = eg.Tensor(np.array([[0.25, 0.25]]))
         b = eg.Tensor(np.array([[0.75, 0.75]]))
-        v = sk.apply_select(split(channels, 1), a, b, num_pairs=1)
-        assert np.array_equal(v.data, [[[1.0, 0.0], [0.0, 3.0]]])
-        assert np.array_equal(v.data.sum(axis=1), [[1.0, 3.0]])
+        v = apply_select(split(channels, 1), a, b, num_pairs=1)
+        assert np.array_equal(v, [[[1.0, 0.0], [0.0, 3.0]]])
+        assert np.array_equal(v.sum(axis=1), [[1.0, 3.0]])
 
     def test_weight_near_one_limit(self):
         channels = np.array([[[2.0, -3.0], [5.0, 5.0]]])
         a = eg.Tensor(np.array([[1.0 - 1e-7, 1.0 - 1e-7]]))
         b = eg.Tensor(np.array([[1e-7, 1e-7]]))
-        v = sk.apply_select(split(channels, 1), a, b, num_pairs=1)
-        np.testing.assert_allclose(v.data[0, 0], [2.0, -3.0], atol=1e-5)
-        np.testing.assert_allclose(v.data[0, 1], [0.0, 0.0], atol=1e-5)
+        v = apply_select(split(channels, 1), a, b, num_pairs=1)
+        np.testing.assert_allclose(v[0, 0], [2.0, -3.0], atol=1e-5)
+        np.testing.assert_allclose(v[0, 1], [0.0, 0.0], atol=1e-5)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(20)
         channels = rng.standard_normal((3, 7, 4))
         aw = rng.uniform(0.01, 0.99, (3, 7))
         num_pairs = 3
-        v = sk.apply_select(
+        v = apply_select(
             split(channels, num_pairs), eg.Tensor(aw), eg.Tensor(1.0 - aw), num_pairs
-        ).data
+        )
         expect = np.empty_like(channels)
         for n in range(3):
             for c in range(7):
@@ -209,7 +227,7 @@ class TestApplySelect:
         E = eg.Tensor(rng.standard_normal((3, 4, 5)))
         u2, u3 = build_branch_2(E, layout), build_branch_3(E, layout)
         aw = rng.uniform(0.01, 0.99, (3, layout.num_channels))
-        v = sk.apply_select([u2, u3], eg.Tensor(aw), eg.Tensor(1.0 - aw), layout.num_pairs).data
+        v = apply_select([u2, u3], eg.Tensor(aw), eg.Tensor(1.0 - aw), layout.num_pairs)
         pad2 = np.zeros((3, layout.num_channels, 5))
         pad2[:, : layout.num_pairs] = u2.data
         pad3 = np.zeros_like(pad2)
@@ -221,9 +239,9 @@ class TestApplySelect:
         rng = np.random.default_rng(21)
         channels = rng.standard_normal((4, 6, 3))
         aw = rng.uniform(0.0, 1.0, (4, 6))
-        v = sk.apply_select(
+        v = apply_select(
             split(channels, 2), eg.Tensor(aw), eg.Tensor(1.0 - aw), num_pairs=2
-        ).data
+        )
         bound = np.abs(channels).max(axis=-1)
         assert (np.abs(v).max(axis=-1) <= bound + 1e-12).all()
 
@@ -244,12 +262,14 @@ class TestInitAndEndToEnd:
         sk_params = sk.init_sk_params(store, layout.num_channels, seed=7)
         e = rand(3, 4, 4, seed=8) * 0.5
         E = store.register("E", e.shape, lambda: e)
-        target = rand(3, layout.num_channels, 4, seed=9)
+        dense = rand(6, layout.num_channels * 4, seed=10)
+        W = store.register("W", dense.shape, lambda: dense)
+        target = rand(3, 6, seed=9)
 
         def loss_fn():
             branches = [build_branch_2(E, layout), build_branch_3(E, layout)]
             a, b = sk.select_weights(branches, sk_params)
-            v = sk.apply_select(branches, a, b, layout.num_pairs)
+            v = eg.branch_linear(branches, eg.join_columns(a, b, layout.num_pairs), W)
             diff = eg.sub(v, eg.Tensor(target))
             return eg.mean_all(eg.mul(diff, diff))
 

@@ -22,6 +22,7 @@ UNCALLED = {
     "engine.stack_fields": "item 4",
     "engine.take_fields": "item 4",
     "engine.pad_channels": "item 4",
+    "engine.scale_channels": "item 4",
     # the per-channel attention report that item 1's `report` command will write
     "sk_attention.channel_weight_means": "item 1",
     "sk_attention.write_attention_report": "item 1",
