@@ -117,7 +117,9 @@ class Tensor:
 
         Leaf tensors with requires_grad set accumulate (+=) into the gradient
         arrays they own, so parameter grads must be zeroed per minibatch; a
-        leaf with no gradient yet gets a copy of the first one to arrive.
+        leaf with no gradient yet gets a copy of the first one to arrive, in
+        the leaf's own layout, so a column-major parameter's gradient is
+        column-major whether or not it was zeroed first.
         A row-sparse gradient from ``gather_rows`` or ``gather_fields`` is
         scattered straight into a leaf's own dense gradient (zeros first if
         it has none), so no (V,k) table is built; gathers read leaf tables
@@ -182,7 +184,8 @@ class Tensor:
                             parent.grad = np.zeros_like(parent.data)
                         np.add.at(parent.grad, pg.rows, pg.values)
                     elif parent.grad is None:
-                        parent.grad = np.array(pg, dtype=parent.data.dtype)
+                        parent.grad = np.empty_like(parent.data)  # the leaf's layout
+                        parent.grad[...] = pg
                     else:
                         parent.grad += pg
 
@@ -595,7 +598,15 @@ def branch_linear(xs: list[Tensor], w: Tensor | None, weight: Tensor) -> Tensor:
     ``w`` it is a view of the branch.  Backward builds x again only for the
     weight gradient, before it makes the input gradient g @ weight, and
     scales the branch gradients in place in that buffer, whose slices it
-    hands over as ``_Fresh``."""
+    hands over as ``_Fresh``.
+
+    The model holds ``weight`` column-major: then weight.T is a row-major
+    (C*k, m) operand, which BLAS packs far more cheaply than a transposed
+    one, and at a few rows that pack costs more than the arithmetic.  The
+    weight gradient is made as (x.T @ g).T, column-major too, so the SGD
+    update and gradient sums run in one layout.  Either layout gives the
+    same values to rounding; at one row, and at shapes OpenBLAS hands to
+    its small-matrix kernels, the two may sum in another order."""
     bounds = _branch_bounds(xs, "branch_linear")
     first = xs[0].data
     batch, channels, k = first.shape[0], bounds[-1], first.shape[2]
@@ -621,7 +632,7 @@ def branch_linear(xs: list[Tensor], w: Tensor | None, weight: Tensor) -> Tensor:
     out = joined() @ weight.data.T
 
     def backward(g):
-        g_weight = g.T @ joined()
+        g_weight = (joined().T @ g).T
         gx = (g @ weight.data).reshape(batch, channels, k)
         grads = [_Fresh(gx[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         if w is None:
@@ -754,21 +765,29 @@ class Parameter(Tensor):
 
     ``data`` stays unset until something reads it.  Python then calls
     ``__getattr__``, which runs the zero-argument ``init`` once, casts its
-    result to the store's dtype, checks it against the declared shape and
-    stores it, so every later read finds the slot set.  ``shape`` and
-    ``dtype`` answer from the declaration without drawing, and a value
-    assigned to ``data`` first, as a checkpoint load does, means ``init``
-    never runs.  Each draw depends only on the parameter's own name, shape
-    and seed, so the order of first reads changes no value.
+    result to the store's dtype and declared ``order``, checks it against
+    the declared shape and stores it, so every later read finds the slot
+    set.  ``shape`` and ``dtype`` answer from the declaration without
+    drawing, and a value assigned to ``data`` first, as a checkpoint load
+    does, means ``init`` never runs.  Each draw depends only on the
+    parameter's own name, shape and seed, so the order of first reads
+    changes no value.
+
+    ``order`` is the memory layout of ``data``: "C" (row-major, the
+    default) or "F" (column-major).  Only the model's first DNN weight,
+    ``dnn/w0``, is column-major, for ``branch_linear``'s matmul; the layout
+    changes no value, so its shape, checkpoint bytes and state arrays are
+    those of the row-major array.
     """
 
-    __slots__ = ("name", "_shape", "_dtype", "_init")
+    __slots__ = ("name", "_shape", "_dtype", "_order", "_init")
 
     def __init__(self, name: str, shape: tuple[int, ...], dtype: np.dtype,
-                 init: Callable[[], np.ndarray]):
+                 init: Callable[[], np.ndarray], order: str = "C"):
         self.name = name
         self._shape = shape
         self._dtype = dtype
+        self._order = order
         self._init = init
         self.grad = None
         self.requires_grad = True
@@ -779,7 +798,7 @@ class Parameter(Tensor):
         # called only when the slot is unset, so never on a drawn parameter
         if attr != "data":
             raise AttributeError(f"'Parameter' object has no attribute '{attr}'")
-        value = np.ascontiguousarray(self._init(), dtype=self._dtype)
+        value = np.asarray(self._init(), dtype=self._dtype, order=self._order)
         if value.shape != self._shape:
             raise ShapeError(
                 f"parameter '{self.name}': init gave shape {value.shape}, "
@@ -796,6 +815,10 @@ class Parameter(Tensor):
     def dtype(self):
         return self._dtype
 
+    @property
+    def order(self) -> str:
+        return self._order
+
 
 class ParameterStore:
     """Registry of every learnable tensor of a model, keyed by unique name."""
@@ -805,11 +828,16 @@ class ParameterStore:
         self._params: dict[str, Parameter] = {}
 
     def register(self, name: str, shape: tuple[int, ...],
-                 init: Callable[[], np.ndarray]) -> Parameter:
-        """Declare a parameter; ``init()`` gives its value on first read."""
+                 init: Callable[[], np.ndarray], order: str = "C") -> Parameter:
+        """Declare a parameter; ``init()`` gives its value on first read.
+
+        ``order`` is the layout its value is held in, "C" (row-major) or
+        "F" (column-major); the first draw and every load produce it."""
         if name in self._params:
             raise ShapeError(f"parameter '{name}' registered twice")
-        p = Parameter(name, tuple(int(d) for d in shape), self.dtype, init)
+        if order not in ("C", "F"):
+            raise ShapeError(f"parameter '{name}': order must be 'C' or 'F', got {order!r}")
+        p = Parameter(name, tuple(int(d) for d in shape), self.dtype, init, order)
         self._params[name] = p
         return p
 
@@ -827,12 +855,15 @@ class ParameterStore:
             t.zero_grad()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
+        """A row-major copy of every parameter, whatever layout it is held in."""
+        return {name: t.data.copy(order="C") for name, t in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Set every parameter from ``arrays``, which must hold exactly the
-        registered names and shapes.  Nothing is drawn, and on an error no
-        parameter changes."""
+        registered names and shapes as real-number arrays.  Each is cast to
+        the store's dtype in its parameter's layout, so a row-major array
+        becomes a column-major copy for a column-major parameter.  Nothing
+        is drawn, and on an error no parameter changes."""
         missing = sorted(set(self._params) - set(arrays))
         extra = sorted(set(arrays) - set(self._params))
         if missing or extra:
@@ -841,12 +872,17 @@ class ParameterStore:
             )
         cast = {}
         for name, arr in arrays.items():
-            shape = self._params[name].shape
-            if arr.shape != shape:
+            p = self._params[name]
+            if not isinstance(arr, np.ndarray) or arr.dtype.kind not in "iuf":
+                kind = arr.dtype if isinstance(arr, np.ndarray) else type(arr).__name__
                 raise CheckpointError(
-                    f"parameter '{name}' shape mismatch: {arr.shape} vs {shape}"
+                    f"parameter '{name}' must be an array of real numbers, got {kind}"
                 )
-            cast[name] = np.ascontiguousarray(arr, dtype=self.dtype)
+            if arr.shape != p.shape:
+                raise CheckpointError(
+                    f"parameter '{name}' shape mismatch: {arr.shape} vs {p.shape}"
+                )
+            cast[name] = np.asarray(arr, dtype=self.dtype, order=p.order)
         for name, arr in cast.items():
             self._params[name].data = arr
 
@@ -879,7 +915,8 @@ def save_checkpoint(path, params: ParameterStore) -> None:
                 f.write(raw)
                 f.write(struct.pack("<I", t.data.ndim))
                 f.write(struct.pack(f"<{t.data.ndim}Q", *t.data.shape))
-                f.write(np.ascontiguousarray(t.data).astype(_CODE_DTYPES[code], copy=False).tobytes())
+                # tobytes writes row-major whatever the layout of t.data
+                f.write(t.data.astype(_CODE_DTYPES[code], copy=False).tobytes())
         os.replace(tmp, path)
     except Exception as exc:
         raise CheckpointError(f"cannot save checkpoint {path}: {exc}") from exc

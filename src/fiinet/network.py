@@ -167,15 +167,19 @@ class CtrModel:
             )
         width = self.layout.num_channels * cfg.embedding_dim
         for li, h in enumerate(cfg.hidden_sizes):
-            w = self._xavier(f"dnn/w{li}", (h, width))
+            # branch_linear reads dnn/w0 as weight.T, a plain operand for
+            # BLAS only when the weight is column-major
+            w = self._xavier(f"dnn/w{li}", (h, width), "F" if li == 0 else "C")
             self._dnn_layers.append((w, self._zeros(f"dnn/b{li}", h)))
             width = h
         self._dnn_head = (self._xavier("dnn/head_w", (1, width)), self._zeros("dnn/head_b", 1))
 
-    def _xavier(self, name: str, shape: tuple[int, int]) -> eg.Parameter:
+    def _xavier(self, name: str, shape: tuple[int, int], order: str = "C") -> eg.Parameter:
         """A parameter drawn by ``xavier_init`` under its own name on first read."""
         seed, dtype = self.config.seed, self.params.dtype
-        return self.params.register(name, shape, lambda: eg.xavier_init(shape, seed, name, dtype))
+        return self.params.register(
+            name, shape, lambda: eg.xavier_init(shape, seed, name, dtype), order
+        )
 
     def _zeros(self, name: str, size: int) -> eg.Parameter:
         return self.params.register(name, (size,), lambda: np.zeros(size))
@@ -183,8 +187,12 @@ class CtrModel:
     # -- forward pieces ------------------------------------------------
 
     def _index_rows(self, indices: np.ndarray) -> np.ndarray:
-        """``indices`` as (B,f) rows, one row if 1-D; values unchecked."""
+        """``indices`` as (B,f) rows, one row if 1-D; values unchecked.  A
+        non-integer dtype is refused before any comparison, which a str or
+        object array would fail outside the package's errors."""
         idx = np.asarray(indices)
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ShapeError(f"indices must be integers, got dtype {idx.dtype}")
         if idx.ndim == 1:
             idx = idx[None, :]
         if idx.ndim != 2 or idx.shape[1] != self.num_fields:

@@ -13,17 +13,19 @@ def total(x):
 
 
 def numeric_gradient(loss, arr, coords, eps):
-    """Central differences of the float ``loss()`` at the flat ``coords`` of
-    ``arr``, which ``loss`` must read; ``arr`` is restored after each."""
-    flat = arr.reshape(-1)
+    """Central differences of the float ``loss()`` at the flat row-major
+    ``coords`` of ``arr``, which ``loss`` must read; ``arr`` is restored
+    after each.  ``arr`` itself is written, in any memory layout: a flat
+    view of a column-major array would be a copy the loss never reads."""
     out = np.empty(len(coords))
     for n, c in enumerate(coords):
-        old = flat[c]
-        flat[c] = old + eps
+        at = np.unravel_index(c, arr.shape)
+        old = arr[at]
+        arr[at] = old + eps
         lp = loss()
-        flat[c] = old - eps
+        arr[at] = old - eps
         lm = loss()
-        flat[c] = old
+        arr[at] = old
         out[n] = (lp - lm) / (2 * eps)
     return out
 

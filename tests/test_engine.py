@@ -376,6 +376,32 @@ class TestOpSemantics:
 
         assert run(True) == run(False)
 
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("rows", [1, 37])
+    def test_branch_linear_with_a_column_major_weight(self, dtype, rtol, rows):
+        # the same values to rounding as a row-major weight (BLAS may sum
+        # in another order), and a column-major weight gradient
+        rng = np.random.default_rng(rows)
+        arrays = [rng.standard_normal((rows, c, 16)).astype(dtype) for c in (7, 45)]
+        w = rng.uniform(0.1, 0.9, (rows, 52)).astype(dtype)
+        weight = rng.standard_normal((24, 52 * 16)).astype(dtype)
+        g = rng.standard_normal((rows, 24)).astype(dtype)
+
+        def run(order):
+            leaves = [eg.Tensor(a, requires_grad=True)
+                      for a in (*arrays, w, np.asarray(weight, order=order))]
+            out = eg.branch_linear(leaves[:2], leaves[2], leaves[3])
+            g_weight = out._backward(g)[-1]
+            total(eg.mul(out, eg.Tensor(g))).backward()
+            return g_weight, [out.data, *(t.grad for t in leaves)]
+
+        g_row, row_major = run("C")
+        g_col, col_major = run("F")
+        assert g_col.flags.f_contiguous and not g_col.flags.c_contiguous
+        assert col_major[-1].flags.f_contiguous and row_major[-1].flags.c_contiguous
+        for a, b in zip(row_major, col_major):
+            np.testing.assert_allclose(b, a, rtol=rtol, atol=rtol)
+
     @pytest.mark.parametrize("order", [2, 3])
     @pytest.mark.parametrize("tile_bytes", [1, 700, 2**12])
     def test_cross_products_backward_bits_do_not_depend_on_the_tile(self, order, tile_bytes,
@@ -842,6 +868,96 @@ class TestStores:
         with pytest.raises(CheckpointError):
             ps.load_arrays({"a": np.zeros((3, 2))})
 
+    @pytest.mark.parametrize("value,message", [
+        ([[1.0, 2.0], [3.0, 4.0]], "got list"),
+        (np.array([["1", "2"], ["3", "4"]]), "got <U1"),
+        (np.array([[1.0, None], [3.0, 4.0]], dtype=object), "got object"),
+    ], ids=["list", "str", "object"])
+    def test_load_arrays_refuses_a_value_that_is_no_real_array(self, value, message):
+        ps = eg.ParameterStore(np.float64)
+        inits = {"a": Counted(np.ones((2, 2))), "b": Counted(np.ones((2, 2)))}
+        for name, init in inits.items():
+            ps.register(name, (2, 2), init)
+        ps["a"].data  # drawn: it must keep its value
+        # "a" fits and comes first, "b" does not: neither may change
+        with pytest.raises(CheckpointError,
+                           match=f"^parameter 'b' must be an array of real numbers, {message}$"):
+            ps.load_arrays({"a": np.zeros((2, 2)), "b": value})
+        assert (ps["a"].data == 1.0).all() and inits["b"].calls == 0
+
+
+class TestLayout:
+    """A parameter declared column-major is held so from its first draw and
+    every load on, its gradient follows it, and what leaves the store is
+    row-major."""
+
+    @staticmethod
+    def store(dtype=np.float64):
+        ps = eg.ParameterStore(dtype)
+        ps.register("w0", (3, 4), Counted(randn(3, 4)), order="F")
+        ps.register("w1", (2, 3), Counted(randn(2, 3)))
+        ps.register("b", (3,), Counted(randn(3)))
+        return ps
+
+    @staticmethod
+    def layouts(arrays):
+        return {n: ("F" if a.flags.f_contiguous and not a.flags.c_contiguous else
+                    "C" if a.flags.c_contiguous else "-") for n, a in arrays.items()}
+
+    def test_first_draw_holds_the_declared_order(self):
+        ps = self.store()
+        assert {n: t.order for n, t in ps.items()} == {"w0": "F", "w1": "C", "b": "C"}
+        assert self.layouts({n: t.data for n, t in ps.items()}) == {"w0": "F", "w1": "C", "b": "C"}
+        init = ps["w0"]._init
+        assert ps["w0"].data.tobytes() == init.arr.tobytes()
+
+    def test_an_unknown_order_is_refused(self):
+        with pytest.raises(ShapeError, match="parameter 'w': order must be 'C' or 'F', got 'A'"):
+            eg.ParameterStore().register("w", (2, 2), Counted(np.zeros((2, 2))), order="A")
+
+    @pytest.mark.parametrize("given", ["C", "F"])
+    def test_load_arrays_produces_the_declared_order(self, given):
+        ps = self.store(np.float32)
+        arrays = {n: np.asarray(randn(*t.shape), order=given) for n, t in ps.items()}
+        ps.load_arrays(arrays)
+        assert self.layouts({n: t.data for n, t in ps.items()}) == {"w0": "F", "w1": "C", "b": "C"}
+        for name, t in ps.items():
+            assert t.data.tobytes() == arrays[name].astype(np.float32).tobytes(), name
+
+    def test_state_arrays_and_checkpoints_are_row_major(self, tmp_path):
+        ps = self.store(np.float32)
+        state = ps.state_arrays()
+        assert self.layouts(state) == {"w0": "C", "w1": "C", "b": "C"}
+        assert not np.shares_memory(state["w0"], ps["w0"].data)
+        path = tmp_path / "w.ckpt"
+        eg.save_checkpoint(path, ps)
+        want = eg.CHECKPOINT_MAGIC + struct.pack("<III", eg.CHECKPOINT_VERSION, 1, 3)
+        for name, arr in state.items():
+            want += struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", arr.ndim)
+            want += struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.astype("<f4").tobytes()
+        assert path.read_bytes() == want
+        other = self.store(np.float32)
+        eg.load_checkpoint_into(path, other)
+        assert self.layouts({n: t.data for n, t in other.items()}) == {"w0": "F", "w1": "C", "b": "C"}
+        assert all(t.data.tobytes() == state[n].tobytes() for n, t in other.items())
+
+    @pytest.mark.parametrize("zeroed", [False, True], ids=["fresh", "zeroed"])
+    @pytest.mark.parametrize("grad_order", ["C", "F"])
+    def test_a_gradient_takes_its_parameters_layout(self, zeroed, grad_order):
+        # branch_linear hands dnn/w0 a column-major gradient, linear a
+        # row-major one; either way the leaf's gradient is in its own layout
+        ps = self.store()
+        x = eg.Tensor(randn(5, 4))
+        if zeroed:
+            ps.zero_grad()
+        h = eg.linear(x, ps["w0"]) if grad_order == "C" else eg.branch_linear(
+            [eg.Tensor(x.data.reshape(5, 2, 2))], None, ps["w0"])
+        out = eg.add_rowvec(eg.linear(h, ps["w1"]), eg.Tensor(np.zeros(2)))
+        total(eg.mul(out, out)).backward()
+        assert self.layouts({"w0": ps["w0"].grad, "w1": ps["w1"].grad}) == {"w0": "F", "w1": "C"}
+        get = 2 * out.data @ ps["w1"].data  # d/dh of the sum of squares
+        assert np.allclose(ps["w0"].grad, get.T @ x.data, rtol=1e-12, atol=0)
+
 
 class TestParameter:
     def test_drawn_once_on_first_read_and_cast_to_the_store_dtype(self):
@@ -1059,3 +1175,14 @@ class TestFiniteDifferenceCheck:
 
         report = check_parameters(loss_fn, ps, eps=1e-3, max_coords=64)
         assert report["w"] < 1e-9
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_numeric_gradient_writes_the_array_in_any_layout(self, order):
+        # the loss reads arr itself; a flat copy of a column-major array
+        # would leave it unchanged and give zero differences
+        w = randn(3, 4)
+        arr = np.asarray(randn(3, 4), order=order)
+        before = arr.copy()
+        numeric = numeric_gradient(lambda: float((w * arr * arr).sum()), arr, range(12), eps=1e-4)
+        assert np.allclose(numeric, (2 * w * arr).reshape(-1), rtol=1e-8, atol=1e-10)
+        assert arr.tobytes() == before.tobytes()

@@ -3,7 +3,9 @@ table gradients against a dense scatter, each deep variant's forward
 against a plain-numpy restatement of the padded-branch formula, scoring in
 row blocks against one whole-batch pass, parameters drawn on first read
 and never when loaded, the loss against the two-log formula bit for bit,
-label checks before the forward pass, and ModelConfig validation."""
+label checks before the forward pass, dnn/w0 held column-major with the
+bits of the row-major formula, index dtype checks, and ModelConfig
+validation."""
 
 import tracemalloc
 from itertools import combinations
@@ -241,6 +243,106 @@ def test_ablation_matches_padded_formula_bitwise(variant, orders, precision):
     assert_matches_padded_formula(variant, precision, orders, attention=False)
 
 
+def bench_model(seed=5):
+    """fiinet at the benchmark's shape: 10 fields, k=32, hidden (128, 64),
+    float32; 50 values per field keep the tables small."""
+    schemas = [FieldSchema(f"c{i}", i, 50) for i in range(10)]
+    return CtrModel(schemas, ModelConfig(embedding_dim=32, seed=seed))
+
+
+def layouts(arrays):
+    """"F" for a column-major array, "C" for a row-major one (a 1-D array
+    is both and reads "C")."""
+    return {n: "C" if a.flags.c_contiguous else "F" if a.flags.f_contiguous else "-"
+            for n, a in arrays.items()}
+
+
+def only_w0_column_major(params):
+    return {n: "F" if n == "dnn/w0" else "C" for n, _ in params.items()}
+
+
+@pytest.mark.parametrize("rows", [2, 16, 64, 288])
+def test_column_major_first_layer_scores_equal_the_row_major_formula_bitwise(rows):
+    model = bench_model()
+    names = [s.field_name for s in model.schemas]
+    state = model.params.state_arrays()
+    x = np.random.default_rng(rows).integers(0, 50, size=(2 * rows, 10))
+    for req in (x[:rows], x[rows:]):
+        assert model.predict_proba(req).tobytes() == padded_proba(state, names, req).tobytes()
+
+
+def test_one_row_scores_equal_the_row_major_formula_to_rounding():
+    # at one row numpy multiplies through BLAS's matrix-vector kernel,
+    # which sums a column-major weight's products in another order than a
+    # row-major one's: a few scores differ in their last bits
+    model = bench_model()
+    names = [s.field_name for s in model.schemas]
+    state = model.params.state_arrays()
+    x = np.random.default_rng(1).integers(0, 50, size=(64, 10))
+    got = np.concatenate([model.predict_proba(row) for row in x])
+    want = np.concatenate([padded_proba(state, names, row[None]) for row in x])
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("rows", [16, 256])
+def test_column_major_first_layer_gradient_equals_scale_reshape_linear_bitwise(rows, monkeypatch):
+    # the same step with branch_linear replaced by the three ops it fuses,
+    # reading a row-major copy of dnn/w0
+    model = bench_model()
+    x = np.random.default_rng(rows).integers(0, 50, size=(rows, 10))
+    y = np.random.default_rng(rows + 1).integers(0, 2, size=rows)
+
+    def step():
+        model.params.zero_grad()
+        model.loss(x, y, training=True, rng=np.random.default_rng(7)).backward()
+        return {n: t.grad.copy(order="K") for n, t in model.params.items()}
+
+    fused = step()
+    assert layouts(fused) == only_w0_column_major(model.params)
+    copies = []
+
+    def unfused(xs, w, weight):
+        copies.append(eg.Tensor(weight.data.copy(order="C"), requires_grad=True))
+        scaled = eg.scale_channels(xs, w)
+        flat = eg.reshape(scaled, (rows, scaled.data.shape[1] * scaled.data.shape[2]))
+        return eg.linear(flat, copies[-1])
+
+    monkeypatch.setattr(eg, "branch_linear", unfused)
+    spelled_out = step()
+    (copy,) = copies
+    assert copy.grad.flags.c_contiguous
+    assert fused["dnn/w0"].tobytes() == copy.grad.tobytes()
+    for name, grad in spelled_out.items():
+        if name != "dnn/w0":
+            assert grad.tobytes() == fused[name].tobytes(), name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_only_dnn_w0_is_held_column_major(variant, tmp_path):
+    model = new_model(variant)
+    want = only_w0_column_major(model.params)
+    assert layouts({n: t.data for n, t in model.params.items()}) == want
+    state = model.params.state_arrays()
+    assert set(layouts(state).values()) == {"C"}
+    x, y = batch()
+    for zeroed in (False, True):
+        for _, t in model.params.items():
+            t.grad = None
+        if zeroed:
+            model.params.zero_grad()
+        model.loss(x, y).backward()
+        assert layouts({n: t.grad for n, t in model.params.items()}) == want, zeroed
+    other = new_model(variant)
+    other.params.load_arrays(state)
+    assert layouts({n: t.data for n, t in other.params.items()}) == want
+    path = tmp_path / "model.ckpt"
+    eg.save_checkpoint(path, model.params)
+    loaded = new_model(variant)
+    eg.load_checkpoint_into(path, loaded.params)
+    assert layouts({n: t.data for n, t in loaded.params.items()}) == want
+    assert all(t.data.tobytes() == state[n].tobytes() for n, t in loaded.params.items())
+
+
 @pytest.mark.parametrize("variant,pairs,triples,attention", [
     ("fiinet", 6, 4, True), ("fiinet-sh", 6, 4, False),
     ("fiinet-h", 6, 0, False), ("fiinet-s", 0, 4, False),
@@ -431,6 +533,31 @@ def test_a_refused_loss_runs_no_forward_and_draws_nothing(labels, error, message
     with pytest.raises(error, match=f"^{message}$"):
         model.loss(x, labels, training=True, rng=rng)
     assert rng.bit_generator.state == state
+
+
+ENTRY_POINTS = {
+    "forward": lambda model, idx: model.forward(idx),
+    "predict_proba": lambda model, idx: model.predict_proba(idx),
+    "loss": lambda model, idx: model.loss(idx, np.zeros(len(idx), dtype=np.int64)),
+    "batch_attention": lambda model, idx: model.batch_attention(idx),
+}
+
+
+@pytest.mark.parametrize("variant,entry", [
+    (v, e) for v in VARIANTS for e in ENTRY_POINTS if e != "batch_attention" or v == "fiinet"
+])
+@pytest.mark.parametrize("indices", [
+    np.array([["0", "1", "2", "3"]]),
+    np.array([[0, None, 2, 3]], dtype=object),
+    np.array([[0, 1, 2, 3]], dtype=object),
+    np.array([[0.0, 1.0, 2.0, 3.0]]),
+    np.ones((2, 4), dtype=bool),
+], ids=["str", "object-None", "object-int", "float", "bool"])
+def test_non_integer_indices_raise_shape_error_at_every_entry_point(variant, entry, indices):
+    # batch_attention: only fiinet has attention weights
+    model = small_model(variant)
+    with pytest.raises(ShapeError, match=f"^indices must be integers, got dtype {indices.dtype}$"):
+        ENTRY_POINTS[entry](model, indices)
 
 
 def two_log_loss(probs, labels):
