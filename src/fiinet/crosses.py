@@ -12,8 +12,9 @@ downstream network absorb any per-cross scaling.
 Each branch holds only its own live channels: the pair branch is
 (B,C2,k) and the triple branch (B,C3,k).  The attention layer and the
 first DNN layer (``engine.branch_linear``) take the two as a list; the
-joined (B,C,k) DNN input, scaled by the attention weights where a variant
-has them, is only a temporary inside that layer.
+joined (B,C,k) DNN input, scaled where a variant has attention by one
+(B,C) weight, a_c on pair channels and 1 - a_c on triple channels, is
+only a temporary inside that layer.
 """
 
 from __future__ import annotations

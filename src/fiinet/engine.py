@@ -10,18 +10,17 @@ Convention: the leading axis of 2-D/3-D tensors is the minibatch axis.
 
 Finiteness is checked only where a non-finite value could turn finite or
 be dropped: ``relu`` (-inf becomes 0), ``sigmoid`` and ``clamp`` (+-inf
-become a finite bound), ``join_columns`` (drops columns) and
-``take_fields`` (drops fields) check their inputs, ``log`` refuses any
-input that is not > 0, NaN included, and ``Tensor.backward`` checks its
-scalar.  Every other op hands a non-finite input on as non-finite (under
-IEEE, inf * 0 and inf - inf are NaN), so any inf or NaN in a model
-reaches one of these checks, and no op spends time scanning a wide
-(B,C,k) intermediate.  Such a check names the op where the value was
-caught, not the one that made it.  The model layer then scores the same
-rows again off the tape with ``_every_op_checked``, under which every op
-checks its output, so the error names the op that produced the value.
-Only the gathers drop rows, those their indices do not name, and they
-read leaf tables only; ``cross_products`` reads every field.
+become a finite bound) and ``take_fields`` (drops fields) check their
+inputs, ``log`` refuses any input that is not > 0, NaN included, and
+``Tensor.backward`` checks its scalar.  Every other op hands a non-finite
+input on as non-finite (under IEEE, inf * 0 and inf - inf are NaN), so any
+inf or NaN in a model reaches one of these checks, and no op spends time
+scanning a wide (B,C,k) intermediate.  Such a check names the op where the
+value was caught, not the one that made it.  The model layer then scores
+the same rows again off the tape with ``_every_op_checked``, under which
+every op checks its output, so the error names the op that produced the
+value.  Only the gathers drop rows, those their indices do not name, and
+they read leaf tables only; ``cross_products`` reads every field.
 
 A training step's memory is counted in (B,C,k) arrays, C the number of
 cross channels, so the tape keeps no such array it can do without.  The
@@ -521,25 +520,26 @@ def cross_products(x: Tensor, order: int) -> Tensor:
     return _make(out, (x,), backward, "cross_products")
 
 
-def join_columns(left: Tensor, right: Tensor, split: int) -> Tensor:
-    """Columns [:split] of left and [split:] of right, as one (B,C) tensor."""
-    _require_same_shape(left, right, "join_columns")
-    if left.data.ndim != 2 or not 0 <= split <= left.data.shape[1]:
-        raise ShapeError(
-            f"join_columns: split {split} does not fit shape {left.data.shape}"
-        )
-    _check_input(left.data, "join_columns")
-    _check_input(right.data, "join_columns")
-    out = np.concatenate([left.data[:, :split], right.data[:, split:]], axis=1)
+def complement_from(a: Tensor, split: int) -> Tensor:
+    """Columns [:split] of a (B,C) tensor as they are and 1 - a in [split:].
+
+    The SK select weight of a pair channel is a_c and that of a triple
+    channel b_c = 1 - a_c, so this is the one (B,C) weight the first DNN
+    layer scales the branches by, with no (B,C) b made.  It drops no value,
+    so it checks none.  Backward hands over g in [:split] and 0 - g in
+    [split:]: 0 - g, not -g, so that a +0.0 gradient stays +0.0, as in
+    0 + (-g)."""
+    if a.data.ndim != 2 or not 0 <= split <= a.data.shape[1]:
+        raise ShapeError(f"complement_from: split {split} does not fit shape {a.data.shape}")
+    out = a.data.copy()
+    np.subtract(out.dtype.type(1), out[:, split:], out=out[:, split:])
 
     def backward(g):
-        gl = np.zeros_like(g)
-        gl[:, :split] = g[:, :split]
-        gr = np.zeros_like(g)
-        gr[:, split:] = g[:, split:]
-        return gl, gr
+        ga = g.copy()
+        np.subtract(ga.dtype.type(0), ga[:, split:], out=ga[:, split:])
+        return (_Fresh(ga),)
 
-    return _make(out, (left, right), backward, "join_columns")
+    return _make(out, (a,), backward, "complement_from")
 
 
 def _branch_bounds(xs: list[Tensor], op: str) -> list[int]:

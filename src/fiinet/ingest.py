@@ -31,6 +31,8 @@ class FieldSchema:
     cardinality: int  # distinct values + the reserved OOV slot
 
     def __post_init__(self):
+        if not isinstance(self.field_name, str):
+            raise DataError(f"field name {self.field_name!r} is not a str")
         c = self.cardinality
         if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
             raise DataError(f"field '{self.field_name}' has cardinality {c!r}; need an int")
@@ -129,8 +131,16 @@ class Vocabulary:
 
         Backslash, tab, newline and carriage return in a field name or a
         value are written as the escapes \\\\, \\t, \\n and \\r, so any
-        string reads back.
+        string reads back.  A value that is not a str is refused before
+        the file is opened, so no half-written file is left.
         """
+        for schema, mapping in zip(self.schemas, self.maps):
+            for value in mapping:
+                if not isinstance(value, str):
+                    raise DataError(
+                        f"field '{schema.field_name}': value {value!r} of type "
+                        f"{type(value).__name__} is not a str"
+                    )
         with open(path, "w", encoding="utf-8") as f:
             for schema, mapping in zip(self.schemas, self.maps):
                 f.write(f"{schema.field_name.translate(_ESCAPES)}\t{len(mapping)}\n")
@@ -287,18 +297,29 @@ def _require_finite_threshold(threshold) -> None:
 def split_dataset(
     dataset: EncodedDataset, ratios: tuple[float, float, float], seed: int
 ) -> DatasetSplit:
-    """Seeded-shuffle partition into train/valid/test; same seed, same split."""
+    """Seeded-shuffle partition into train/valid/test; same seed, same split.
+
+    The train and valid sizes are n * ratio rounded down, and the test part
+    takes the rest; ratios that leave a part empty are refused.  The seed
+    must be an int >= 0: None would draw a fresh split on every call."""
     # r > 0, not r <= 0, so that a NaN ratio fails
     if len(ratios) != 3 or not all(r > 0 for r in ratios):
         raise DataError(f"split ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"split ratios must sum to 1, got {ratios}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError(f"split seed must be an int >= 0, got {seed!r}")
     n = len(dataset)
-    if n < 3:
-        raise DataError(f"need at least 3 examples to split, got {n}")
-    perm = np.random.default_rng(seed).permutation(n)
     n_train = int(math.floor(n * ratios[0]))
     n_valid = int(math.floor(n * ratios[1]))
+    n_test = n - n_train - n_valid
+    for part, size in (("train", n_train), ("valid", n_valid), ("test", n_test)):
+        if size == 0:
+            raise DataError(
+                f"split ratios {ratios} leave the {part} part of {n} examples empty "
+                f"(train/valid/test {n_train}/{n_valid}/{n_test})"
+            )
+    perm = np.random.default_rng(seed).permutation(n)
     sections = (
         perm[:n_train],
         perm[n_train : n_train + n_valid],

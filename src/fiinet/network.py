@@ -254,13 +254,14 @@ class CtrModel:
         return branches
 
     def attention_weights(self, emb: eg.Tensor):
-        """(branches, a, b) for the full attention variant: the (B,C_i,k)
-        cross branches and the (B,C) select weights of each branch."""
+        """(a, b) for the full attention variant: the (B,C) select weights
+        of the pair and the triple branch.  b = 1 - a is made off the tape,
+        for the report only; the model itself reads a alone."""
         if self.sk_params is None:
             raise ShapeError(f"variant '{self.config.variant}' has no attention weights")
-        branches = self._branches(emb)
-        a, b = sk.select_weights(branches, self.sk_params)
-        return branches, a, b
+        a = sk.select_weights(self._branches(emb), self.sk_params)
+        with eg.no_grad():
+            return a, eg.one_minus(a)
 
     # -- public API ------------------------------------------------------
 
@@ -282,13 +283,11 @@ class CtrModel:
         batch = idx.shape[0]
         z = self._linear_logit(idx)
         if self.layout is not None:
-            emb = self._embeddings(idx)
-            if self.sk_params is None:
-                branches, weights = self._branches(emb), None
-            else:
-                branches, a, b = self.attention_weights(emb)
-                # a_c scales pair channel c, b_c triple channel c
-                weights = eg.join_columns(a, b, self.layout.num_pairs)
+            branches, weights = self._branches(self._embeddings(idx)), None
+            if self.sk_params is not None:
+                # a_c scales pair channel c, 1 - a_c triple channel c
+                a = sk.select_weights(branches, self.sk_params)
+                weights = eg.complement_from(a, self.layout.num_pairs)
             z = eg.add(z, self._dnn(branches, weights, training, rng))
         elif self.config.variant == "fm":
             z = eg.add(z, self._fm_score(self._embeddings(idx)))
@@ -334,7 +333,7 @@ class CtrModel:
         def weights(block):
             def score():
                 return self.attention_weights(self._embeddings(block))
-            _, a, b = _replayed(score, score)
+            a, b = _replayed(score, score)
             return a.data, b.data
 
         a, b = zip(*self._in_blocks(idx, weights))

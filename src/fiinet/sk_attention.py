@@ -8,10 +8,11 @@ it through a reduce/excite bottleneck, scores every channel with two branch
 matrices and normalizes the pair of logits with a two-way softmax,
 yielding convex weights (a_c, b_c) per channel.  Each channel belongs to
 one branch, so the output map scales it by one weight: a_c on pair
-channels, b_c on triple channels.  The model joins those into one (B,C)
-weight, w = [a[:, :C2] | b[:, C2:]] (``engine.join_columns``), and its
+channels, b_c = 1 - a_c on triple channels.  ``select_weights`` returns a
+alone; the model turns it into that one (B,C) weight,
+w = [a[:, :C2] | 1 - a[:, C2:]] (``engine.complement_from``), and its
 first DNN layer (``engine.branch_linear``) scales the branches by it as it
-reads them, so the output map itself is never kept.
+reads them, so neither b nor the output map is kept.
 
 The two-way softmax is computed as a sigmoid of the logit difference, which
 is the max-subtraction form, and the second weight as 1 - a_c, so the pair
@@ -77,19 +78,18 @@ def init_sk_params(
     return SkParams(w1=w1, branch_a=branch_a, branch_b=branch_b)
 
 
-def select_weights(branches: list[eg.Tensor], params: SkParams):
-    """Per-channel select weights (a, b), each (B,C), of the (B,C_i,k)
-    cross branches, C = sum of C_i.
+def select_weights(branches: list[eg.Tensor], params: SkParams) -> eg.Tensor:
+    """Per-channel select weight a (B,C) of the (B,C_i,k) cross branches,
+    C = sum of C_i; the other branch's weight is b = 1 - a.
 
     Squeeze each channel to its global mean Z (B,C), reduce it to the
     descriptor s = relu(w1 . Z) (B,d), and take the two-way softmax of the
-    branch logits A.s and B.s: a_c + b_c = 1 exactly and both in (0,1).
+    branch logits A.s and B.s: a = sigmoid(A.s - B.s), in (0,1).
     """
     descriptor = eg.relu(eg.linear(eg.mean_lastdim(branches), params.w1))
     logits_a = eg.linear(descriptor, params.branch_a)
     logits_b = eg.linear(descriptor, params.branch_b)
-    a = eg.sigmoid(eg.sub(logits_a, logits_b))
-    return a, eg.one_minus(a)
+    return eg.sigmoid(eg.sub(logits_a, logits_b))
 
 
 def channel_weight_means(a: np.ndarray, b: np.ndarray, layout: ChannelLayout) -> np.ndarray:

@@ -191,8 +191,9 @@ class TestPrimitiveGradients:
         check_op(build, [randn(2, 3, 4), randn(2, 2, 4), *([randn(2, 5)] if weighted else []),
                          randn(3, 20), randn(3, 5)])
 
-    def test_join_columns(self):
-        check_op(lambda ts: eg.join_columns(ts[0], ts[1], 2), [randn(3, 5), randn(3, 5)])
+    @pytest.mark.parametrize("split", [0, 2, 5])
+    def test_complement_from(self, split):
+        check_op(lambda ts: eg.complement_from(ts[0], split), [randn(3, 5)])
 
     def test_scale_channels(self):
         check_op(
@@ -294,6 +295,36 @@ class TestOpSemantics:
         branches = [eg.Tensor(np.zeros((2, 4, 3))), eg.Tensor(np.zeros((2, 5, 3)))]
         with pytest.raises(ShapeError, match="^scale_channels: weight .* does not fit 2 branches of 9"):
             eg.scale_channels(branches, eg.Tensor(weight))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("split", [0, 3, 7])
+    def test_complement_from_matches_one_minus_then_a_join_bitwise(self, dtype, split):
+        # rows 0 and 1 of the incoming gradient are +0.0 and -0.0: both
+        # leave [split:] as +0.0, as 0 + (-g) did when a's gradient was the
+        # join's zero-filled half plus one_minus's -g
+        rng = np.random.default_rng(split)
+        a = rng.uniform(0.0, 1.0, (4, 7)).astype(dtype)
+        g = rng.standard_normal((4, 7)).astype(dtype)
+        g[0], g[1] = 0.0, -0.0
+        t = eg.Tensor(a.copy(), requires_grad=True)
+        out = eg.complement_from(t, split)
+        want = np.concatenate([a[:, :split], dtype(1) - a[:, split:]], axis=1)
+        assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+        assert t.data.tobytes() == a.tobytes()
+        total(eg.mul(out, eg.Tensor(g))).backward()
+        left, right = np.zeros_like(g), np.zeros_like(g)
+        left[:, :split], right[:, split:] = g[:, :split], g[:, split:]
+        want_grad = left + -right
+        assert want_grad.tobytes() == np.concatenate([g[:, :split], 0 - g[:, split:]], axis=1).tobytes()
+        assert t.grad.tobytes() == want_grad.tobytes()
+        assert not np.signbit(t.grad[0, split:]).any()
+
+    @pytest.mark.parametrize("shape,split", [
+        ((2, 3, 4), 1), ((6,), 2), ((2, 3), -1), ((2, 3), 4),
+    ])
+    def test_complement_from_refuses_a_shape_or_split_that_does_not_fit(self, shape, split):
+        with pytest.raises(ShapeError, match=f"^complement_from: split {split} does not fit shape"):
+            eg.complement_from(eg.Tensor(np.zeros(shape)), split)
 
     def test_mean_lastdim_refuses_an_empty_axis(self):
         with pytest.raises(ShapeError, match="^mean_lastdim over an empty axis$"):

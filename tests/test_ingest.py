@@ -157,6 +157,34 @@ class TestSplitDataset:
         with pytest.raises(DataError):
             ingest.split_dataset(self.dataset(2), (0.8, 0.1, 0.1), seed=0)
 
+    @pytest.mark.parametrize("n,ratios,part,sizes", [
+        (9, (0.8, 0.1, 0.1), "valid", "7/0/2"),
+        (19, (0.9, 0.05, 0.05), "valid", "17/0/2"),
+        (3, (0.2, 0.4, 0.4), "train", "0/1/2"),
+        (10, (0.5, 0.5, 1e-10), "test", "5/5/0"),
+        (0, (0.8, 0.1, 0.1), "train", "0/0/0"),
+    ])
+    def test_ratios_that_leave_a_part_empty_name_it_and_the_sizes(self, n, ratios, part, sizes):
+        message = re.escape(
+            f"split ratios {ratios} leave the {part} part of {n} examples empty "
+            f"(train/valid/test {sizes})"
+        )
+        with pytest.raises(DataError, match=f"^{message}$"):
+            ingest.split_dataset(self.dataset(n), ratios, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
+    def test_seed_must_be_an_int_at_least_0(self, seed):
+        # None would draw a fresh split from OS entropy on every call
+        with pytest.raises(DataError, match=f"^split seed must be an int >= 0, got {re.escape(repr(seed))}$"):
+            ingest.split_dataset(self.dataset(10), (0.8, 0.1, 0.1), seed=seed)
+
+    def test_numpy_int_seed_gives_the_int_seeds_split(self):
+        ds = self.dataset(20)
+        s1 = ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=np.int64(3))
+        s2 = ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=3)
+        for part in ("train", "valid", "test"):
+            assert np.array_equal(getattr(s1, part).indices, getattr(s2, part).indices)
+
 
 class TestEncodeTable:
     HEADER = ["user", "item", "age", "rating"]
@@ -255,7 +283,8 @@ class TestEncodeTableMatchesReference:
         assert ds.labels.tolist() == [int(score > 0.5) for score, _ in examples]
 
         out = tmp_path_factory.mktemp("prepared")
-        split = ingest.split_dataset(ds, (0.6, 0.2, 0.2), seed=3)
+        # thirds leave no part of 3 or more rows empty
+        split = ingest.split_dataset(ds, (1 / 3, 1 / 3, 1 / 3), seed=3)
         ingest.write_prepared(out, vocab, split)
         loaded_vocab, loaded = ingest.load_prepared(out)
         assert [list(m.items()) for m in loaded_vocab.maps] == [list(m.items()) for m in maps]
@@ -410,6 +439,12 @@ class TestFieldSchema:
     def test_accepts_numpy_ints(self):
         assert ingest.FieldSchema("a", 0, np.int64(7)).cardinality == 7
 
+    @pytest.mark.parametrize("name", [5, None, b"f0", np.int64(1)])
+    def test_refuses_a_field_name_that_is_not_a_str(self, name):
+        # it would name parameters such as linear/5 and fail vocab.tsv's save
+        with pytest.raises(DataError, match=f"^field name {re.escape(repr(name))} is not a str$"):
+            ingest.FieldSchema(name, 0, 3)
+
     def test_refuses_fewer_than_2_slots(self):
         with pytest.raises(DataError, match="field 'a' has cardinality 1; need the OOV slot"):
             ingest.FieldSchema("a", 0, 1)
@@ -428,6 +463,20 @@ class TestVocabularyFile:
         loaded = ingest.Vocabulary.load(path, ["f0", "f1"])
         assert loaded.maps == vocab.maps
         assert loaded.schemas == vocab.schemas
+
+    @pytest.mark.parametrize("value,shown", [
+        (5, "5 of type int"), (None, "None of type NoneType"), (b"x", "b'x' of type bytes"),
+        (("a",), "('a',) of type tuple"),
+    ])
+    def test_save_refuses_a_value_that_is_not_a_str_before_writing(self, tmp_path, value, shown):
+        vocab = ingest.Vocabulary(
+            [ingest.FieldSchema("f", 0, 2), ingest.FieldSchema("g", 1, 3)], [{"a": 1}, {"b": 1, value: 2}]
+        )
+        path = tmp_path / "vocab.tsv"
+        path.write_text("an earlier file\n")
+        with pytest.raises(DataError, match=f"^field 'g': value {re.escape(shown)} is not a str$"):
+            vocab.save(path)
+        assert path.read_text() == "an earlier file\n"
 
     def test_escapes_written(self, tmp_path):
         vocab = vocabulary_of([["x\ty"], ["a\\nb"], ["l1\nl2\r"]], ["f"])

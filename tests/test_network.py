@@ -103,20 +103,22 @@ def ten_field_fiinet():
     return CtrModel(schemas, ModelConfig(embedding_dim=4, hidden_sizes=(8, 4)))
 
 
-def test_fiinet_forward_records_26_tape_nodes_at_10_fields():
+def test_fiinet_forward_records_25_tape_nodes_at_10_fields():
     # two gathers (one per table family), sum_fields and add_rowvec for the
-    # linear part, and 22 nodes for the crosses, attention, DNN and output
+    # linear part, and 21 nodes for the crosses, attention, DNN and output:
+    # the select weights reach the first DNN layer through one
+    # complement_from, with no (B,C) 1 - a of their own
     out = ten_field_fiinet().forward(np.zeros((3, 10), dtype=np.int64))
-    assert len(tape(out)) == 26
+    assert len(tape(out)) == 25
 
 
-def test_fiinet_training_step_records_36_tape_nodes_at_10_fields():
-    # the forward's 26, a dropout node per hidden layer, and 8 for the loss:
+def test_fiinet_training_step_records_35_tape_nodes_at_10_fields():
+    # the forward's 25, a dropout node per hidden layer, and 8 for the loss:
     # clamp, two mul, one_minus, add, one log, mean_all and neg
     loss = ten_field_fiinet().loss(
         np.zeros((3, 10), dtype=np.int64), [0, 1, 1], training=True, rng=np.random.default_rng(0)
     )
-    assert len(tape(loss)) == 36
+    assert len(tape(loss)) == 35
 
 
 def test_fiinet_training_step_keeps_two_cross_width_arrays_at_10_fields():

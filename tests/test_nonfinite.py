@@ -76,10 +76,7 @@ OP_CASES = {
         lambda x0, x1, w, weight: eg.branch_linear([x0, x1], w, weight),
         [values((2, 1, 3)), values((2, 2, 3), 1), values((2, 3), 2), values((2, 9), 3)], None,
     ),
-    "join_columns": (
-        lambda a, b: eg.join_columns(a, b, 2), [values((3, 4)), values((3, 4), 1)],
-        [[p for p in everywhere((3, 4)) if p[1] < 2], [p for p in everywhere((3, 4)) if p[1] >= 2]],
-    ),
+    "complement_from": (lambda a: eg.complement_from(a, 2), [values((3, 4))], None),
     "scale_channels": (
         lambda x0, x1, w: eg.scale_channels([x0, x1], w),
         [values((2, 1, 4)), values((2, 2, 4), 1), values((2, 3), 2)], None,
@@ -124,12 +121,21 @@ def test_no_op_hides_a_nonfinite_input(op):
 
 
 def test_ops_that_could_drop_a_nonfinite_value_check_their_input():
-    for op in ("relu", "sigmoid", "clamp", "join_columns", "take_fields"):
+    for op in ("relu", "sigmoid", "clamp", "take_fields"):
         call, inputs, _ = OP_CASES[op]
         args = [a.copy() for a in inputs]
         args[-1][(0,) * args[-1].ndim] = -np.inf
         with pytest.raises(NonFiniteError, match=f"^non-finite input to op '{op}'$"):
             call(*map(eg.Tensor, args))
+
+
+def test_complement_from_passes_inf_and_nan_on_unchanged():
+    # it drops no value, so it checks none: a non-finite a_c stays in
+    # column c, negated in the complemented columns
+    a = np.array([[np.inf, -np.inf, np.nan, np.inf, -np.inf, np.nan]])
+    out = eg.complement_from(eg.Tensor(a), 3).data
+    assert out[0, :3].tobytes() == a[0, :3].tobytes()
+    assert out[0, 3:].tolist()[:2] == [-np.inf, np.inf] and np.isnan(out[0, 5])
 
 
 def test_an_op_checks_its_output_only_when_every_op_is_checked():

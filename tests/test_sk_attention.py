@@ -53,6 +53,12 @@ def params(w1, branch_a, branch_b):
     return sk.SkParams(eg.Tensor(w1), eg.Tensor(branch_a), eg.Tensor(branch_b))
 
 
+def with_complement(a):
+    """(a, b): the select weight ``select_weights`` returns and the other
+    branch's weight b = 1 - a, as the model's attention report makes it."""
+    return a, eg.one_minus(a)
+
+
 def descriptor_of(branches, w1):
     """The descriptor relu(w1 . mean_k(channels)) of the joined branches,
     read back from ``select_weights``: with A = I and B = 0 each channel's
@@ -60,7 +66,7 @@ def descriptor_of(branches, w1):
     past the d-th)."""
     d, C = w1.shape
     tensors = [eg.Tensor(u) for u in branches]
-    a, b = sk.select_weights(tensors, params(w1, np.eye(C, d), np.zeros((C, d))))
+    a, b = with_complement(sk.select_weights(tensors, params(w1, np.eye(C, d), np.zeros((C, d)))))
     return np.log(a.data / b.data)
 
 
@@ -83,7 +89,7 @@ def select(descriptor, branch_a, branch_b):
     stats[:, :d] = descriptor
     channels = np.repeat(stats[:, :, None], 2, axis=2)
     branches = split(channels, 1) if C > 1 else [eg.Tensor(channels)]
-    return sk.select_weights(branches, params(np.eye(d, C), branch_a, branch_b))
+    return with_complement(sk.select_weights(branches, params(np.eye(d, C), branch_a, branch_b)))
 
 
 class TestPooling:
@@ -180,27 +186,27 @@ class TestSelectSoftmax:
         assert 0.0 < b.data[0, 0] < 1.0
 
 
-def apply_select(branches, a, b, num_pairs):
-    """The attention-weighted map: a_c scales pair channel c, b_c triple
-    channel c, through the joined weight the model builds."""
-    return output_map(branches, eg.join_columns(a, b, num_pairs))
+def apply_select(branches, a, num_pairs):
+    """The attention-weighted map: a_c scales pair channel c, 1 - a_c
+    triple channel c, through the one weight the model builds."""
+    return output_map(branches, eg.complement_from(a, num_pairs))
 
 
 class TestApplySelect:
     def test_arithmetic_example(self):
         # channel 0 is a pair channel, channel 1 a triple channel
         channels = np.array([[[4.0, 0.0], [0.0, 4.0]]])
+        # b = 1 - a = 0.75 on the triple channel
         a = eg.Tensor(np.array([[0.25, 0.25]]))
-        b = eg.Tensor(np.array([[0.75, 0.75]]))
-        v = apply_select(split(channels, 1), a, b, num_pairs=1)
+        v = apply_select(split(channels, 1), a, num_pairs=1)
         assert np.array_equal(v, [[[1.0, 0.0], [0.0, 3.0]]])
         assert np.array_equal(v.sum(axis=1), [[1.0, 3.0]])
 
     def test_weight_near_one_limit(self):
         channels = np.array([[[2.0, -3.0], [5.0, 5.0]]])
+        # b = 1 - a, about 1e-7, on the triple channel
         a = eg.Tensor(np.array([[1.0 - 1e-7, 1.0 - 1e-7]]))
-        b = eg.Tensor(np.array([[1e-7, 1e-7]]))
-        v = apply_select(split(channels, 1), a, b, num_pairs=1)
+        v = apply_select(split(channels, 1), a, num_pairs=1)
         np.testing.assert_allclose(v[0, 0], [2.0, -3.0], atol=1e-5)
         np.testing.assert_allclose(v[0, 1], [0.0, 0.0], atol=1e-5)
 
@@ -209,9 +215,7 @@ class TestApplySelect:
         channels = rng.standard_normal((3, 7, 4))
         aw = rng.uniform(0.01, 0.99, (3, 7))
         num_pairs = 3
-        v = apply_select(
-            split(channels, num_pairs), eg.Tensor(aw), eg.Tensor(1.0 - aw), num_pairs
-        )
+        v = apply_select(split(channels, num_pairs), eg.Tensor(aw), num_pairs)
         expect = np.empty_like(channels)
         for n in range(3):
             for c in range(7):
@@ -227,7 +231,7 @@ class TestApplySelect:
         E = eg.Tensor(rng.standard_normal((3, 4, 5)))
         u2, u3 = build_branch_2(E, layout), build_branch_3(E, layout)
         aw = rng.uniform(0.01, 0.99, (3, layout.num_channels))
-        v = apply_select([u2, u3], eg.Tensor(aw), eg.Tensor(1.0 - aw), layout.num_pairs)
+        v = apply_select([u2, u3], eg.Tensor(aw), layout.num_pairs)
         pad2 = np.zeros((3, layout.num_channels, 5))
         pad2[:, : layout.num_pairs] = u2.data
         pad3 = np.zeros_like(pad2)
@@ -239,9 +243,7 @@ class TestApplySelect:
         rng = np.random.default_rng(21)
         channels = rng.standard_normal((4, 6, 3))
         aw = rng.uniform(0.0, 1.0, (4, 6))
-        v = apply_select(
-            split(channels, 2), eg.Tensor(aw), eg.Tensor(1.0 - aw), num_pairs=2
-        )
+        v = apply_select(split(channels, 2), eg.Tensor(aw), num_pairs=2)
         bound = np.abs(channels).max(axis=-1)
         assert (np.abs(v).max(axis=-1) <= bound + 1e-12).all()
 
@@ -253,7 +255,7 @@ class TestInitAndEndToEnd:
         assert np.array_equal(params.branch_a.data, params.branch_b.data)
         assert params.w1.data.shape == (sk.reduced_dim(20, 8), 20)
         # fresh init means every channel weight is exactly 0.5
-        a, b = sk.select_weights(split(rand(5, 20, 4, seed=3), 6), params)
+        a, b = with_complement(sk.select_weights(split(rand(5, 20, 4, seed=3), 6), params))
         assert np.all(a.data == 0.5) and np.all(b.data == 0.5)
 
     def test_full_layer_gradients_pass_fd_check(self):
@@ -268,8 +270,8 @@ class TestInitAndEndToEnd:
 
         def loss_fn():
             branches = [build_branch_2(E, layout), build_branch_3(E, layout)]
-            a, b = sk.select_weights(branches, sk_params)
-            v = eg.branch_linear(branches, eg.join_columns(a, b, layout.num_pairs), W)
+            a = sk.select_weights(branches, sk_params)
+            v = eg.branch_linear(branches, eg.complement_from(a, layout.num_pairs), W)
             diff = eg.sub(v, eg.Tensor(target))
             return eg.mean_all(eg.mul(diff, diff))
 
