@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import os
 import re
 import tokenize
@@ -148,7 +149,8 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path, field_names: list[str]) -> "Vocabulary":
-        """Read a file ``save`` wrote; its fields must be ``field_names``."""
+        """Read a file ``save`` wrote; its fields must be ``field_names``.  A
+        path that cannot be opened raises DataError naming it."""
         _require_unique(field_names, f"{path}: ")
         names, maps = _read_vocabulary(path)
         if names != list(field_names):
@@ -171,7 +173,7 @@ def _read_vocabulary(path) -> tuple[list[str], list[dict[str, int]]]:
     """The field names and value-to-index maps of a file ``Vocabulary.save``
     wrote.  Lines are numbered from 1 in errors."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with _open(path, "vocabulary", encoding="utf-8") as f:
             text = f.read()
     except UnicodeDecodeError:
         raise _not_utf8_error(path) from None
@@ -246,6 +248,15 @@ def _unescape(value: str, path, lineno: int) -> str:
     return _ESCAPE_SEQUENCE.sub(replace, value)
 
 
+def _open(path, what: str, mode: str = "r", **kwargs):
+    """``open(path, mode, **kwargs)``; an OSError, such as a missing path or
+    a directory, raises DataError naming the ``what`` and the path."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot open {what} {path}: {exc.strerror or exc}") from None
+
+
 # the characters errors="surrogateescape" decodes undecodable bytes to
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
@@ -278,9 +289,13 @@ def _columns(rows: list[list[str]], width: int) -> list[list[str]]:
 
 def binarize_label(scores, threshold: float) -> np.ndarray:
     """1 where score > threshold (strict), else 0, as int64 of the scores'
-    shape; a scalar gives a 0-d array.  The threshold must be finite."""
+    shape; a scalar gives a 0-d array.  The scores must be ints or floats
+    (no bool, str or object), and the threshold a finite real number."""
     _require_finite_threshold(threshold)
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
+    if scores.dtype.kind not in "iuf":
+        raise DataError(f"label scores must be numbers, got dtype {scores.dtype}")
+    scores = scores.astype(np.float64, copy=False)
     finite = np.isfinite(scores)
     if not finite.all():
         raise DataError(f"non-finite label score {float(scores[~finite][0])!r}")
@@ -288,6 +303,8 @@ def binarize_label(scores, threshold: float) -> np.ndarray:
 
 
 def _require_finite_threshold(threshold) -> None:
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+        raise DataError(f"label threshold must be a real number, got {threshold!r}")
     # no score is > NaN or > +inf, and every finite one is > -inf, so each
     # would give every row the same label
     if not math.isfinite(threshold):
@@ -336,9 +353,10 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     every other record must have as many columns as the header.  A leading
     UTF-8 byte-order mark is dropped, so it never joins the first name.
     The ``csv`` module's own errors, such as a value longer than
-    ``csv.field_size_limit()``, name the line the reader had reached."""
+    ``csv.field_size_limit()``, name the line the reader had reached, and
+    a path that cannot be opened raises DataError naming it."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as f:
+        with _open(path, "table", encoding="utf-8-sig", newline="") as f:
             reader = csv.reader(f)
             try:
                 header = next(reader, None)
@@ -441,12 +459,13 @@ def write_split_file(path, dataset: EncodedDataset) -> None:
 
 def read_split_file(path, num_fields: int) -> EncodedDataset:
     """Read a file ``write_split_file`` wrote: an int64 table of 1+num_fields
-    columns, labels in {0,1}, indices >= 0.  Errors count rows from 0.
+    columns, labels in {0,1}, indices >= 0.  Errors name the path and
+    count rows from 0.
 
     The header's shape is checked against the file's size before the table
     is allocated, so a corrupt row count fails here, not in the allocator.
     """
-    with open(path, "rb") as f:
+    with _open(path, "split file", "rb") as f:
         size = os.fstat(f.fileno()).st_size
         try:
             version = np.lib.format.read_magic(f)

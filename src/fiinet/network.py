@@ -76,7 +76,7 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
         _require_int("seed", self.seed, minimum=0)
-        if self.precision not in PRECISIONS:
+        if not isinstance(self.precision, str) or self.precision not in PRECISIONS:
             raise ConfigError(
                 f"unknown precision '{self.precision}' (choose from {tuple(PRECISIONS)})"
             )
@@ -253,15 +253,12 @@ class CtrModel:
             branches.append(build_branch_3(emb, self.layout))
         return branches
 
-    def attention_weights(self, emb: eg.Tensor):
-        """(a, b) for the full attention variant: the (B,C) select weights
-        of the pair and the triple branch.  b = 1 - a is made off the tape,
-        for the report only; the model itself reads a alone."""
+    def attention_weights(self, emb: eg.Tensor) -> eg.Tensor:
+        """The (B,C) select weight a of the full attention variant: a_c
+        weights pair channel c and 1 - a_c triple channel c."""
         if self.sk_params is None:
             raise ShapeError(f"variant '{self.config.variant}' has no attention weights")
-        a = sk.select_weights(self._branches(emb), self.sk_params)
-        with eg.no_grad():
-            return a, eg.one_minus(a)
+        return sk.select_weights(self._branches(emb), self.sk_params)
 
     # -- public API ------------------------------------------------------
 
@@ -294,14 +291,13 @@ class CtrModel:
         return eg.sigmoid(eg.reshape(z, (batch,)))
 
     def predict_proba(self, indices: np.ndarray) -> np.ndarray:
-        """Evaluation-mode probabilities, computed off the tape in row blocks.
-
-        ``forward`` checks each block's index range, so every row is checked
-        once."""
-        idx = self._index_rows(indices)
+        """Evaluation-mode probabilities, shape (B,), float64; the whole
+        index array is range-checked once, then scored in row blocks by
+        ``_in_blocks``."""
+        idx = self._validate_indices(indices)
         if idx.shape[0] == 0:
             return np.empty(0)
-        blocks = self._in_blocks(idx, lambda block: self.forward(block).data)
+        blocks = self._in_blocks(idx, lambda block: self._forward(block, False, None))
         return np.concatenate(blocks, dtype=np.float64)
 
     def loss(
@@ -319,36 +315,37 @@ class CtrModel:
             raise ShapeError(f"bce_loss: scores {rows} vs labels {y.shape}")
         bad = (y != 0) & (y != 1)
         if bad.any():
-            raise DataError(f"bce_loss: label {y[bad][0].item()!r} is not 0 or 1")
+            label = y[bad][0]  # a numpy scalar, or any object from an object array
+            label = label.item() if isinstance(label, np.generic) else label
+            raise DataError(f"bce_loss: label {label!r} is not 0 or 1")
         return _bce_loss(self.forward(indices, training=training, rng=rng), y)
 
     def batch_attention(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-example attention weights (a, b), each (B,C), evaluation mode."""
+        """Per-example attention weights (a, b), each (B,C), evaluation mode:
+        the select weight a of ``attention_weights``, scored in row blocks
+        by ``_in_blocks`` after one range check, and b = 1 - a."""
         if self.sk_params is None:
             raise ShapeError(f"variant '{self.config.variant}' has no attention weights")
         idx = self._validate_indices(indices)
         if idx.shape[0] == 0:
             raise DataError("empty sample for attention export")
+        blocks = self._in_blocks(idx, lambda block: self.attention_weights(self._embeddings(block)))
+        a = np.concatenate(blocks)
+        return a, a.dtype.type(1) - a
 
-        def weights(block):
-            def score():
-                return self.attention_weights(self._embeddings(block))
-            a, b = _replayed(score, score)
-            return a.data, b.data
-
-        a, b = zip(*self._in_blocks(idx, weights))
-        return np.concatenate(a), np.concatenate(b)
-
-    def _in_blocks(self, idx: np.ndarray, score) -> list:
-        """``score(block)`` off the tape for consecutive row blocks of
-        ``idx``: as few as fit ``_block_rows``, near-equal in size, each
-        starting at a multiple of SCORE_BLOCK_ALIGN."""
+    def _in_blocks(self, idx: np.ndarray, score) -> list[np.ndarray]:
+        """``score(block).data`` for consecutive row blocks of checked
+        indices ``idx``, each scored off the tape under ``_replayed``, so a
+        non-finite value names the op that produced it.  The blocks are as
+        few as fit ``_block_rows``, near-equal in size, each starting at a
+        multiple of SCORE_BLOCK_ALIGN."""
         n = idx.shape[0]
         units = -(-n // SCORE_BLOCK_ALIGN)  # aligned runs of rows; the last may be short
         count = -(-units * SCORE_BLOCK_ALIGN // self._block_rows())
         bounds = [min(n, SCORE_BLOCK_ALIGN * (units * i // count)) for i in range(count + 1)]
+        blocks = [idx[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         with eg.no_grad():
-            return [score(idx[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            return [_replayed(lambda: score(block), lambda: score(block)).data for block in blocks]
 
     def _block_rows(self) -> int:
         """The most rows, a multiple of SCORE_BLOCK_ALIGN, whose widest

@@ -109,6 +109,22 @@ class TestBinarizeLabel:
         with pytest.raises(DataError, match=f"^label threshold must be finite, got {threshold!r}$"):
             ingest.binarize_label([0.5, 2.0], threshold)
 
+    @pytest.mark.parametrize("threshold", ["0", None, [0.0], True, np.True_])
+    def test_threshold_that_is_not_a_real_number_rejected(self, threshold):
+        with pytest.raises(DataError, match=r"^label threshold must be a real number, got "):
+            ingest.binarize_label([0.5, 2.0], threshold)
+
+    @pytest.mark.parametrize("threshold", [np.float32(1.5), np.float64(1.5), np.int64(1), 1])
+    def test_numpy_real_thresholds_pass(self, threshold):
+        assert ingest.binarize_label([0.5, 2.0], threshold).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("scores,dtype", [
+        (["abc"], "<U3"), ([1.0, "2"], "<U32"), ([0.5, None], "object"), ([True, False], "bool"),
+    ])
+    def test_scores_that_are_not_numbers_rejected(self, scores, dtype):
+        with pytest.raises(DataError, match=f"^label scores must be numbers, got dtype {dtype}$"):
+            ingest.binarize_label(scores, 0.0)
+
 
 class TestSplitDataset:
     @staticmethod
@@ -206,6 +222,11 @@ class TestEncodeTable:
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_threshold_rejected(self, threshold):
         with pytest.raises(DataError, match=f"^label threshold must be finite, got {threshold!r}$"):
+            ingest.encode_table(self.ROWS, self.HEADER, "rating", ["user"], threshold)
+
+    @pytest.mark.parametrize("threshold", ["6", None, [6.0], True])
+    def test_threshold_that_is_not_a_real_number_rejected(self, threshold):
+        with pytest.raises(DataError, match=r"^label threshold must be a real number, got "):
             ingest.encode_table(self.ROWS, self.HEADER, "rating", ["user"], threshold)
 
     def test_missing_column_named(self):
@@ -751,3 +772,22 @@ class TestFieldsFile:
         loaded, _ = ingest.load_prepared(out)
         assert loaded.schemas == vocab.schemas
         assert loaded.maps == vocab.maps
+
+
+READERS = {
+    "table": ingest.read_table,
+    "vocabulary": lambda path: ingest.Vocabulary.load(path, ["f0"]),
+    "split file": lambda path: ingest.read_split_file(path, 2),
+}
+
+
+@pytest.mark.parametrize("what", READERS)
+@pytest.mark.parametrize("make,reason", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+], ids=["missing", "directory"])
+def test_a_path_that_cannot_be_opened_is_a_data_error_naming_it(tmp_path, what, make, reason):
+    path = tmp_path / "input"
+    make(path)
+    with pytest.raises(DataError, match=f"^cannot open {what} {re.escape(str(path))}: {reason}$"):
+        READERS[what](path)

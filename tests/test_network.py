@@ -398,12 +398,13 @@ def test_field_names_that_would_share_a_parameter_name(variant, names, message):
 
 
 def count_blocks(monkeypatch, model, name, blocks):
-    """Record the rows of every block passed to ``model.<name>``."""
+    """Record the rows of every block passed to ``model.<name>``, whose
+    first argument is the block."""
     real = getattr(model, name)
 
-    def counted(block):
+    def counted(block, *args):
         blocks.append(len(getattr(block, "data", block)))
-        return real(block)
+        return real(block, *args)
 
     monkeypatch.setattr(model, name, counted)
 
@@ -419,7 +420,7 @@ def test_scoring_in_blocks_equals_one_whole_batch(variant, precision, n, monkeyp
     # a budget small enough that every variant's rows span several blocks
     monkeypatch.setattr(network, "SCORE_BLOCK_BYTES", 1024)
     blocks = []
-    count_blocks(monkeypatch, model, "forward", blocks)
+    count_blocks(monkeypatch, model, "_forward", blocks)
     assert model.predict_proba(x).tobytes() == whole.tobytes()
     assert len(blocks) > 1 and sum(blocks) == n
     if model.sk_params is None:
@@ -443,7 +444,8 @@ def test_blocks_fit_the_widest_intermediate(variant, fields, row_bytes, monkeypa
     model = CtrModel(schemas, ModelConfig(variant=variant, embedding_dim=32, hidden_sizes=(2,)))
     blocks = []
     monkeypatch.setattr(
-        model, "forward", lambda block: blocks.append(len(block)) or eg.Tensor(np.zeros(len(block)))
+        model, "_forward",
+        lambda block, training, rng: blocks.append(len(block)) or eg.Tensor(np.zeros(len(block))),
     )
     n = 30_000
     model.predict_proba(np.zeros((n, fields), dtype=np.int64))
@@ -459,15 +461,25 @@ def test_blocks_fit_the_widest_intermediate(variant, fields, row_bytes, monkeypa
 def test_each_row_is_range_checked_once_and_errors_name_the_field(variant, monkeypatch):
     model = small_model(variant)
     monkeypatch.setattr(network, "SCORE_BLOCK_BYTES", 1024)
-    checked = []
+    checked, blocks = [], []
     real = model._validate_indices
     monkeypatch.setattr(model, "_validate_indices", lambda idx: checked.append(len(idx)) or real(idx))
+    count_blocks(monkeypatch, model, "_forward", blocks)
+    scorers = [model.predict_proba]
+    if model.sk_params is not None:
+        count_blocks(monkeypatch, model, "attention_weights", blocks)
+        scorers.append(model.batch_attention)
     x, _ = batch(n=500, seed=6)
-    model.predict_proba(x)
-    assert len(checked) > 1 and sum(checked) == 500
+    for score in scorers:
+        checked.clear()
+        blocks.clear()
+        score(x)
+        # one check of the whole array, however many blocks score it
+        assert checked == [500] and len(blocks) > 1 and sum(blocks) == 500
     x[-1, 2] = CARDINALITY  # in the last block
-    with pytest.raises(DataError, match="field 'f2'"):
-        model.predict_proba(x)
+    for score in scorers:
+        with pytest.raises(DataError, match="field 'f2'"):
+            score(x)
 
 
 def new_model(variant, precision="float32"):
@@ -525,6 +537,8 @@ def test_loss_rejects_labels_outside_0_1(labels):
 @pytest.mark.parametrize("labels,error,message", [
     ([0, 1, 2, 0, 1, 0], DataError, "bce_loss: label 2 is not 0 or 1"),
     ([0, 1, 0], ShapeError, r"bce_loss: scores \(6,\) vs labels \(3,\)"),
+    (np.array([1, 0, None, 0, 1, 0], dtype=object), DataError, "bce_loss: label None is not 0 or 1"),
+    (np.array([1, 0, "x", 0, 1, 0], dtype=object), DataError, "bce_loss: label 'x' is not 0 or 1"),
 ])
 def test_a_refused_loss_runs_no_forward_and_draws_nothing(labels, error, message):
     model = new_model("fiinet", "float32")
@@ -597,7 +611,7 @@ def test_loss_and_gradient_equal_the_two_log_formula_bitwise(dtype, label):
 
 @pytest.mark.parametrize("field,value", [
     ("variant", "deepfm"), ("dropout", -0.1),
-    ("dropout", 1.0), ("precision", "float16"),
+    ("dropout", 1.0), ("precision", "float16"), ("precision", ["float32"]), ("precision", None),
     ("embedding_dim", 2.5), ("embedding_dim", 0), ("min_reduced_dim", 0),
     ("min_reduced_dim", -1), ("hidden_sizes", (0,)), ("hidden_sizes", (8, 2.5)),
     ("hidden_sizes", ()), ("hidden_sizes", 64), ("hidden_sizes", "64"),
