@@ -28,6 +28,10 @@ first DNN layer, ``branch_linear``, reads the cross branches as a list and
 keeps no joined input; ``Tensor.backward`` adds a later gradient in place
 into an array the node owns; and ``cross_products``' backward makes its
 channel-major copies one tile of rows at a time.
+
+Checkpoints go through the package's two file helpers: ``load_checkpoint``
+opens one with ``errors._open`` and ``save_checkpoint`` writes one with
+``errors._replacing``, each raising CheckpointError naming the path.
 """
 
 from __future__ import annotations
@@ -36,14 +40,14 @@ import math
 import os
 import struct
 import zlib
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from functools import cache
 from itertools import accumulate, combinations
 from typing import Callable
 
 import numpy as np
 
-from .errors import CheckpointError, NonFiniteError, ShapeError
+from .errors import CheckpointError, NonFiniteError, ShapeError, _open, _replacing
 
 SIGMOID_EPS = 1e-7
 # cross_products' backward works on tiles of rows whose channel-major copy
@@ -900,29 +904,22 @@ def save_checkpoint(path, params: ParameterStore) -> None:
     """Binary dump: magic, version, dtype code, then length-prefixed records.
 
     The dump goes to a temporary file beside ``path`` that replaces it only
-    once complete, so a failed save raises CheckpointError naming the path
-    and leaves any earlier checkpoint there as it was.
+    once complete (``errors._replacing``), so a failed save raises
+    CheckpointError naming the path and leaves any earlier checkpoint there
+    as it was.
     """
     code = _DTYPE_CODES[params.dtype]
-    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
-    try:
-        with open(tmp, "xb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<III", CHECKPOINT_VERSION, code, len(params)))
-            for name, t in params.items():
-                raw = name.encode("utf-8")
-                f.write(struct.pack("<I", len(raw)))
-                f.write(raw)
-                f.write(struct.pack("<I", t.data.ndim))
-                f.write(struct.pack(f"<{t.data.ndim}Q", *t.data.shape))
-                # tobytes writes row-major whatever the layout of t.data
-                f.write(t.data.astype(_CODE_DTYPES[code], copy=False).tobytes())
-        os.replace(tmp, path)
-    except Exception as exc:
-        raise CheckpointError(f"cannot save checkpoint {path}: {exc}") from exc
-    finally:
-        with suppress(FileNotFoundError):  # gone once it replaced path
-            os.remove(tmp)
+    with _replacing(path, "checkpoint", "xb", CheckpointError) as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<III", CHECKPOINT_VERSION, code, len(params)))
+        for name, t in params.items():
+            raw = name.encode("utf-8")
+            f.write(struct.pack("<I", len(raw)))
+            f.write(raw)
+            f.write(struct.pack("<I", t.data.ndim))
+            f.write(struct.pack(f"<{t.data.ndim}Q", *t.data.shape))
+            # tobytes writes row-major whatever the layout of t.data
+            f.write(t.data.astype(_CODE_DTYPES[code], copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.dtype]:
@@ -935,11 +932,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.dtype]:
     does a path that cannot be opened, such as a missing file or a
     directory.
     """
-    try:
-        f = open(path, "rb")
-    except OSError as exc:
-        raise CheckpointError(f"cannot open checkpoint {path}: {exc.strerror or exc}") from None
-    with f:
+    with _open(path, "checkpoint", "rb", CheckpointError) as f:
         size = os.fstat(f.fileno()).st_size
 
         def need(n: int, what: str) -> None:

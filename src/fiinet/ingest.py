@@ -4,6 +4,12 @@ Builds per-field vocabularies (index 0 reserved for out-of-vocabulary),
 binarizes labels with a strict greater-than threshold, and writes seeded
 train/valid/test splits.  Every field is categorical: each distinct value
 of a column is one category.
+
+Every file is read through ``errors._open`` and written through
+``errors._replacing``: a path that cannot be opened or written raises
+DataError naming it, and a failed write leaves an earlier file at the path
+as it was.  Names and values must be str that UTF-8 can encode, and are
+checked before a file is opened.
 """
 
 from __future__ import annotations
@@ -20,9 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _open, _replacing
 
 OOV_INDEX = 0
+# lone surrogates, such as "\udc80": a str that holds one cannot be
+# encoded as UTF-8, so cannot be written to a file
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -32,16 +41,28 @@ class FieldSchema:
     cardinality: int  # distinct values + the reserved OOV slot
 
     def __post_init__(self):
-        if not isinstance(self.field_name, str):
-            raise DataError(f"field name {self.field_name!r} is not a str")
+        _require_field_name(self.field_name)
         c = self.cardinality
-        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+        if not _is_int(c):
             raise DataError(f"field '{self.field_name}' has cardinality {c!r}; need an int")
         if c < 2:
             raise DataError(
                 f"field '{self.field_name}' has cardinality {c}; "
                 "need the OOV slot plus at least one value"
             )
+
+
+def _is_int(value) -> bool:
+    """An int or a numpy int, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_field_name(name) -> None:
+    """Refuse a field name that is not a str, or that UTF-8 cannot encode."""
+    if not isinstance(name, str):
+        raise DataError(f"field name {name!r} is not a str")
+    if _SURROGATE.search(name):
+        raise DataError(f"field name {name!r} cannot be encoded as UTF-8")
 
 
 @dataclass
@@ -99,9 +120,12 @@ class Vocabulary:
         return len(self.schemas)
 
     def decode_value(self, field: int, index: int) -> str | None:
-        """Inverse of encode_row for in-vocabulary indices; OOV decodes to None."""
-        if not 0 <= field < self.num_fields:
-            raise DataError(f"no field {field}: the vocabulary has {self.num_fields} fields")
+        """Inverse of encode_row for in-vocabulary indices; OOV decodes to None.
+        The field and the index must be ints (numpy ints too, not bool)."""
+        if not _is_int(field) or not 0 <= field < self.num_fields:
+            raise DataError(f"no field {field!r}: the vocabulary has {self.num_fields} fields")
+        if not _is_int(index):
+            raise DataError(f"index {index!r} of field {field} is not an int")
         values = self._values[field]
         return values[index - 1] if 0 < index <= len(values) else None
 
@@ -132,8 +156,10 @@ class Vocabulary:
 
         Backslash, tab, newline and carriage return in a field name or a
         value are written as the escapes \\\\, \\t, \\n and \\r, so any
-        string reads back.  A value that is not a str is refused before
-        the file is opened, so no half-written file is left.
+        string that UTF-8 can encode reads back.  A value that is not a
+        str, or holds a lone surrogate such as "\\udc80", is refused before
+        the file is opened, so no half-written file is left; a failure while
+        writing leaves an earlier file at ``path`` as it was.
         """
         for schema, mapping in zip(self.schemas, self.maps):
             for value in mapping:
@@ -142,7 +168,12 @@ class Vocabulary:
                         f"field '{schema.field_name}': value {value!r} of type "
                         f"{type(value).__name__} is not a str"
                     )
-        with open(path, "w", encoding="utf-8") as f:
+            if _SURROGATE.search("".join(mapping)):
+                value = next(filter(_SURROGATE.search, mapping))
+                raise DataError(
+                    f"field '{schema.field_name}': value {value!r} cannot be encoded as UTF-8"
+                )
+        with _replacing(path, "vocabulary", "x", encoding="utf-8") as f:
             for schema, mapping in zip(self.schemas, self.maps):
                 f.write(f"{schema.field_name.translate(_ESCAPES)}\t{len(mapping)}\n")
                 f.writelines(value.translate(_ESCAPES) + "\n" for value in mapping)
@@ -151,10 +182,11 @@ class Vocabulary:
     def load(cls, path, field_names: list[str]) -> "Vocabulary":
         """Read a file ``save`` wrote; its fields must be ``field_names``.  A
         path that cannot be opened raises DataError naming it."""
+        field_names = list(field_names)
         _require_unique(field_names, f"{path}: ")
         names, maps = _read_vocabulary(path)
-        if names != list(field_names):
-            raise DataError(f"{path}: holds the fields {names}, expected {list(field_names)}")
+        if names != field_names:
+            raise DataError(f"{path}: holds the fields {names}, expected {field_names}")
         return _vocabulary(names, maps)
 
 
@@ -176,7 +208,7 @@ def _read_vocabulary(path) -> tuple[list[str], list[dict[str, int]]]:
         with _open(path, "vocabulary", encoding="utf-8") as f:
             text = f.read()
     except UnicodeDecodeError:
-        raise _not_utf8_error(path) from None
+        raise _not_utf8_error(path, "vocabulary") from None
     escaped = "\\" in text
     # not str.splitlines, which also ends a line at characters a value holds
     lines = text.split("\n")
@@ -248,24 +280,15 @@ def _unescape(value: str, path, lineno: int) -> str:
     return _ESCAPE_SEQUENCE.sub(replace, value)
 
 
-def _open(path, what: str, mode: str = "r", **kwargs):
-    """``open(path, mode, **kwargs)``; an OSError, such as a missing path or
-    a directory, raises DataError naming the ``what`` and the path."""
-    try:
-        return open(path, mode, **kwargs)
-    except OSError as exc:
-        raise DataError(f"cannot open {what} {path}: {exc.strerror or exc}") from None
-
-
 # the characters errors="surrogateescape" decodes undecodable bytes to
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
-def _not_utf8_error(path, newline: str | None = None) -> DataError:
+def _not_utf8_error(path, what: str, newline: str | None = None) -> DataError:
     """The error for the first line of a text file that is not UTF-8, with
     lines split as ``open(path, newline=newline)`` splits them.  A leading
     byte-order mark is not counted as a column."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline=newline) as f:
+    with _open(path, what, encoding="utf-8-sig", errors="surrogateescape", newline=newline) as f:
         for lineno, line in enumerate(f, 1):
             bad = _UNDECODABLE.search(line)
             if bad:
@@ -324,7 +347,7 @@ def split_dataset(
         raise DataError(f"split ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"split ratios must sum to 1, got {ratios}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise DataError(f"split seed must be an int >= 0, got {seed!r}")
     n = len(dataset)
     n_train = int(math.floor(n * ratios[0]))
@@ -364,7 +387,7 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
             except csv.Error as exc:
                 raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
-        raise _not_utf8_error(path, newline="") from None
+        raise _not_utf8_error(path, "table", newline="") from None
     if header is None:
         raise DataError(f"{path}: empty file")
     if not rows:
@@ -378,7 +401,7 @@ def _ragged_record_error(path, width: int) -> DataError:
     """The error for the first record of a CSV file, after the header,
     that is not blank and not ``width`` columns wide; it names the line the
     record starts on."""
-    with open(path, encoding="utf-8-sig", newline="") as f:
+    with _open(path, "table", encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
         next(reader)
         lineno = reader.line_num + 1
@@ -453,7 +476,7 @@ def write_split_file(path, dataset: EncodedDataset) -> None:
     """Save the examples as one (N, 1+f) int64 table, ``[label | indices]``,
     in numpy's .npy format."""
     table = np.column_stack((dataset.labels, dataset.indices)).astype(np.int64, copy=False)
-    with open(path, "wb") as f:
+    with _replacing(path, "split file", "xb") as f:
         np.save(f, table, allow_pickle=False)
 
 
@@ -503,7 +526,10 @@ SPLIT_FILES = ("train.npy", "valid.npy", "test.npy")
 
 def write_prepared(out_dir, vocab: Vocabulary, split: DatasetSplit) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot make prepared directory {out}: {exc.strerror or exc}") from None
     vocab.save(out / "vocab.tsv")
     for name, part in zip(SPLIT_FILES, (split.train, split.valid, split.test)):
         write_split_file(out / name, part)

@@ -466,6 +466,13 @@ class TestFieldSchema:
         with pytest.raises(DataError, match=f"^field name {re.escape(repr(name))} is not a str$"):
             ingest.FieldSchema(name, 0, 3)
 
+    @pytest.mark.parametrize("name", ["\udc80", "f\ud800"])
+    def test_refuses_a_field_name_utf8_cannot_encode(self, name):
+        # a lone surrogate is a str, but vocab.tsv could not hold it
+        message = f"^field name {re.escape(repr(name))} cannot be encoded as UTF-8$"
+        with pytest.raises(DataError, match=message):
+            ingest.FieldSchema(name, 0, 3)
+
     def test_refuses_fewer_than_2_slots(self):
         with pytest.raises(DataError, match="field 'a' has cardinality 1; need the OOV slot"):
             ingest.FieldSchema("a", 0, 1)
@@ -498,6 +505,29 @@ class TestVocabularyFile:
         with pytest.raises(DataError, match=f"^field 'g': value {re.escape(shown)} is not a str$"):
             vocab.save(path)
         assert path.read_text() == "an earlier file\n"
+
+    @pytest.mark.parametrize("value", ["\udc80", "x\ud800y"])
+    def test_save_refuses_a_value_utf8_cannot_encode_before_writing(self, tmp_path, value):
+        vocab = ingest.Vocabulary(
+            [ingest.FieldSchema("f", 0, 2), ingest.FieldSchema("g", 1, 3)], [{"a": 1}, {"x": 1, value: 2}]
+        )
+        path = tmp_path / "vocab.tsv"
+        path.write_text("an earlier file\n")
+        message = f"^field 'g': value {re.escape(repr(value))} cannot be encoded as UTF-8$"
+        with pytest.raises(DataError, match=message):
+            vocab.save(path)
+        assert path.read_text() == "an earlier file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.tsv"]
+
+    @pytest.mark.parametrize("kind", [iter, tuple], ids=["generator", "tuple"])
+    def test_load_reads_the_field_names_once(self, tmp_path, kind):
+        path = tmp_path / "vocab.tsv"
+        vocab = vocabulary_of([["a", "b"]], ["f", "g"])
+        vocab.save(path)
+        assert ingest.Vocabulary.load(path, kind(["f", "g"])).maps == vocab.maps
+        expected = re.escape("holds the fields ['f', 'g'], expected ['g', 'f']")
+        with pytest.raises(DataError, match=expected):
+            ingest.Vocabulary.load(path, kind(["g", "f"]))
 
     def test_escapes_written(self, tmp_path):
         vocab = vocabulary_of([["x\ty"], ["a\\nb"], ["l1\nl2\r"]], ["f"])
@@ -543,6 +573,26 @@ class TestVocabularyFile:
     def test_decode_value_outside_the_map_is_none(self):
         vocab = vocabulary_of([["a"], ["b"], ["c"]], ["f"])
         assert [vocab.decode_value(0, i) for i in range(-1, 5)] == [None, None, "a", "b", "c", None]
+
+    @pytest.mark.parametrize("index", [1.0, "1", True, np.True_, None, np.float64(1)],
+                             ids=["float", "str", "bool", "numpy-bool", "none", "numpy-float"])
+    def test_decode_value_refuses_an_index_that_is_not_an_int(self, index):
+        # True used to decode the first value, 1.0 and "1" raised TypeError
+        vocab = vocabulary_of([["a"], ["b"]], ["f"])
+        with pytest.raises(DataError, match=f"^index {re.escape(repr(index))} of field 0 is not an int$"):
+            vocab.decode_value(0, index)
+
+    @pytest.mark.parametrize("field", [True, 1.0, "0", None], ids=["bool", "float", "str", "none"])
+    def test_decode_value_refuses_a_field_that_is_not_an_int(self, field):
+        # True used to decode field 1, 1.0 and "0" raised TypeError
+        vocab = vocabulary_of([["a", "b"]], ["f", "g"])
+        with pytest.raises(DataError, match=f"^no field {re.escape(repr(field))}: the vocabulary has 2 fields$"):
+            vocab.decode_value(field, 1)
+
+    def test_decode_value_takes_numpy_ints(self):
+        vocab = vocabulary_of([["a"], ["b"], ["c"]], ["f"])
+        assert [vocab.decode_value(0, i) for i in (np.int64(1), np.int32(2), np.uint8(3))] == ["a", "b", "c"]
+        assert vocab.decode_value(np.int64(0), 1) == "a"
 
     @pytest.mark.parametrize("field", [-1, 2, 5])
     def test_decode_value_of_a_field_it_lacks_rejected(self, field):

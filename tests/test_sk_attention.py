@@ -4,6 +4,8 @@ list, and the per-channel attention report.  The joined and the weighted
 maps exist only inside the first DNN layer, ``engine.branch_linear``; the
 tests read them out through an identity layer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -329,6 +331,20 @@ class TestWeightExport:
         with pytest.raises(ShapeError, match="one entry per channel"):
             sk.write_attention_report(path, layout, ["f0", "f1", "f2"], before, after)
         assert not path.exists()
+
+    @pytest.mark.parametrize("name,problem", [
+        ([1, 2, 3], "is not a str"), (None, "is not a str"), (b"f2", "is not a str"),
+        ("\udc80", "cannot be encoded as UTF-8"),
+    ], ids=["list", "none", "bytes", "lone-surrogate"])
+    def test_report_refuses_a_name_before_opening_the_file(self, tmp_path, name, problem):
+        # a list raised AttributeError, a lone surrogate left only the header
+        layout = ChannelLayout.build(3)
+        path = tmp_path / "attention.tsv"
+        path.write_text("an earlier report\n")
+        with pytest.raises(DataError, match=f"^field name {re.escape(repr(name))} {problem}$"):
+            sk.write_attention_report(path, layout, ["f0", "f1", name], np.full(4, 0.5), np.full(4, 0.5))
+        assert path.read_text() == "an earlier report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["attention.tsv"]
 
     @pytest.mark.parametrize("names", [["f0", "f1"], ["f0", "f1", "f2", "f3"]])
     def test_report_needs_one_name_per_field(self, tmp_path, names):

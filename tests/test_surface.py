@@ -1,4 +1,5 @@
-"""A caller census of the library's public surface.
+"""A caller census of the library's public surface, and a census of the
+places that open a file.
 
 Every public module-level function or class of ``src/fiinet``, and every
 public method of a public class, must be referenced somewhere in ``src/``
@@ -15,6 +16,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fiinet"
+
+# the only functions that may call the builtin open: every other reader and
+# writer goes through them, so every file error names its path the same way
+OPENERS = {"errors._open", "errors._replacing"}
 
 UNCALLED = {
     # engine ops that the benchmark's OPS list pins by name (ROADMAP item 4)
@@ -80,3 +85,30 @@ def test_the_uncalled_list_is_exact():
     called = sorted(set(UNCALLED) & defined - uncalled())
     assert not gone, f"UNCALLED lists names the library no longer defines: {gone}"
     assert not called, f"UNCALLED lists names that now have a caller: {called}"
+
+
+def open_calls() -> dict[str, list[int]]:
+    """The lines that call the builtin ``open`` in ``src/fiinet``, keyed by
+    ``module.definition``: a module-level function or class, ``<module>``
+    for any other statement."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            lines = [
+                node.lineno for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "open"
+            ]
+            if lines:
+                found.setdefault(f"{path.stem}.{getattr(top, 'name', '<module>')}", []).extend(lines)
+    return found
+
+
+def test_only_the_openers_call_open():
+    others = {where: lines for where, lines in open_calls().items() if where not in OPENERS}
+    assert not others, f"files opened outside {sorted(OPENERS)}: {others}"
+
+
+def test_the_openers_list_is_exact():
+    missing = sorted(OPENERS - set(open_calls()))
+    assert not missing, f"OPENERS lists names that call no open: {missing}"
