@@ -3,11 +3,13 @@
 All order-2 and order-3 field combinations are enumerated once, in
 itertools.combinations order, into a fixed channel layout: pair channels
 first, triple channels after.  ``ChannelLayout.build`` alone decides the
-cross orders and the fields they need, and each branch is one
-``cross_products`` call, whose channels follow the same order.  Each cross
-is the plain Hadamard product of the participating field embeddings,
-(e_i * e_j) * e_k for a triple; the per-channel attention weights and the
-downstream network absorb any per-cross scaling.
+cross orders and the fields they need (an int field count, at least the
+highest order), and each branch is one ``cross_products`` call, whose
+channels follow the same order; ``_branch`` checks the embeddings against
+the layout for both.  Each cross is the plain Hadamard product of the
+participating field embeddings, (e_i * e_j) * e_k for a triple; the
+per-channel attention weights and the downstream network absorb any
+per-cross scaling.
 
 Each branch holds only its own live channels: the pair branch is
 (B,C2,k) and the triple branch (B,C3,k).  The attention layer and the
@@ -24,6 +26,7 @@ from itertools import combinations
 
 from . import engine as eg
 from .errors import ShapeError
+from .ingest import _is_int
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,8 @@ class ChannelLayout:
         non-empty selection of 2 and 3; an order-r cross needs r fields."""
         if not orders or not set(orders) <= {2, 3}:
             raise ShapeError(f"cross orders must be a non-empty selection of 2 and 3, got {orders}")
+        if not _is_int(num_fields):
+            raise ShapeError(f"the field count must be an int, got {num_fields!r}")
         top = max(orders)
         if num_fields < top:
             raise ShapeError(f"order-{top} crosses need at least {top} fields, got {num_fields}")
@@ -68,12 +73,16 @@ class ChannelLayout:
         return 2 if channel < len(self.pairs) else 3
 
 
-def _validate_embeddings(embeddings: eg.Tensor, layout: ChannelLayout) -> None:
+def _branch(embeddings: eg.Tensor, layout: ChannelLayout, order: int) -> eg.Tensor:
+    """The order-``order`` channels of (B,f,k) embeddings on ``layout``."""
     if embeddings.data.ndim != 3 or embeddings.data.shape[1] != layout.num_fields:
         raise ShapeError(
             f"expected embeddings of shape (B,{layout.num_fields},k), "
             f"got {embeddings.data.shape}"
         )
+    if not (layout.pairs if order == 2 else layout.triples):
+        raise ShapeError(f"layout carries no {'pair' if order == 2 else 'triple'} channels")
+    return eg.cross_products(embeddings, order)
 
 
 def build_branch_2(embeddings: eg.Tensor, layout: ChannelLayout) -> eg.Tensor:
@@ -81,10 +90,7 @@ def build_branch_2(embeddings: eg.Tensor, layout: ChannelLayout) -> eg.Tensor:
 
     Returns the (B,C2,k) pair channels, in layout order.
     """
-    _validate_embeddings(embeddings, layout)
-    if not layout.pairs:
-        raise ShapeError("layout carries no pair channels")
-    return eg.cross_products(embeddings, 2)
+    return _branch(embeddings, layout, 2)
 
 
 def build_branch_3(embeddings: eg.Tensor, layout: ChannelLayout) -> eg.Tensor:
@@ -92,7 +98,4 @@ def build_branch_3(embeddings: eg.Tensor, layout: ChannelLayout) -> eg.Tensor:
 
     Returns the (B,C3,k) triple channels, in layout order.
     """
-    _validate_embeddings(embeddings, layout)
-    if not layout.triples:
-        raise ShapeError("layout carries no triple channels")
-    return eg.cross_products(embeddings, 3)
+    return _branch(embeddings, layout, 3)

@@ -546,9 +546,9 @@ def complement_from(a: Tensor, split: int) -> Tensor:
     return _make(out, (a,), backward, "complement_from")
 
 
-def _branch_bounds(xs: list[Tensor], op: str) -> list[int]:
+def _branch_bounds(xs: list[Tensor], op: str, w: Tensor | None = None) -> list[int]:
     """Channel offsets [0, C_0, C_0+C_1, ...] of (B,C_i,k) branches that
-    agree on B, k and dtype, as Python ints."""
+    agree on B, k and dtype, and with a (B,C) channel weight ``w``, as Python ints."""
     if not xs:
         raise ShapeError(f"{op} needs at least one branch")
     first = xs[0].data
@@ -557,7 +557,14 @@ def _branch_bounds(xs: list[Tensor], op: str) -> list[int]:
         if (d.ndim != 3 or d.dtype != first.dtype or d.shape[0] != first.shape[0]
                 or d.shape[2] != first.shape[2]):
             raise ShapeError(f"{op}: branches must be (B,C_i,k) and agree on B, k and dtype")
-    return list(accumulate((x.data.shape[1] for x in xs), initial=0))
+    bounds = list(accumulate((x.data.shape[1] for x in xs), initial=0))
+    if w is not None and (w.data.shape != (first.shape[0], bounds[-1])
+                          or w.data.dtype != first.dtype):
+        raise ShapeError(
+            f"{op}: channel weight {w.data.shape} {w.data.dtype} does not fit "
+            f"{len(xs)} branches of {bounds[-1]} channels {first.dtype}"
+        )
+    return bounds
 
 
 def scale_channels(xs: list[Tensor], w: Tensor) -> Tensor:
@@ -569,13 +576,7 @@ def scale_channels(xs: list[Tensor], w: Tensor) -> Tensor:
     g[:, lo:hi] * w[:, lo:hi] and builds the weight gradient per branch from
     the branch arrays themselves.  The model does not call it:
     ``branch_linear`` scales the same way without keeping the output."""
-    bounds = _branch_bounds(xs, "scale_channels")
-    batch = xs[0].data.shape[0]
-    if w.data.shape != (batch, bounds[-1]) or w.data.dtype != xs[0].data.dtype:
-        raise ShapeError(
-            f"scale_channels: weight {w.data.shape} {w.data.dtype} does not fit "
-            f"{len(xs)} branches of {bounds[-1]} channels {xs[0].data.dtype}"
-        )
+    bounds = _branch_bounds(xs, "scale_channels", w)
     out = np.concatenate([x.data for x in xs], axis=1)
     out *= w.data[:, :, None]
 
@@ -611,18 +612,13 @@ def branch_linear(xs: list[Tensor], w: Tensor | None, weight: Tensor) -> Tensor:
     update and gradient sums run in one layout.  Either layout gives the
     same values to rounding; at one row, and at shapes OpenBLAS hands to
     its small-matrix kernels, the two may sum in another order."""
-    bounds = _branch_bounds(xs, "branch_linear")
+    bounds = _branch_bounds(xs, "branch_linear", w)
     first = xs[0].data
     batch, channels, k = first.shape[0], bounds[-1], first.shape[2]
     if weight.data.ndim != 2 or weight.data.shape[1] != channels * k:
         raise ShapeError(
             f"branch_linear: weight {weight.data.shape} does not fit "
             f"{len(xs)} branches of {channels} channels of width {k}"
-        )
-    if w is not None and (w.data.shape != (batch, channels) or w.data.dtype != first.dtype):
-        raise ShapeError(
-            f"branch_linear: channel weight {w.data.shape} {w.data.dtype} does not fit "
-            f"{len(xs)} branches of {channels} channels {first.dtype}"
         )
 
     def joined():

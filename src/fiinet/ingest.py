@@ -8,8 +8,15 @@ of a column is one category.
 Every file is read through ``errors._open`` and written through
 ``errors._replacing``: a path that cannot be opened or written raises
 DataError naming it, and a failed write leaves an earlier file at the path
-as it was.  Names and values must be str that UTF-8 can encode, and are
-checked before a file is opened.
+as it was.  ``write_prepared`` writes its four files under one
+``errors._replacing_together``, so a failed write leaves an earlier
+directory as it was.  Names and values must be str that UTF-8 can encode,
+and are checked before a file is opened.
+
+Each input rule that several functions share is written once: ``_is_int``
+(an int or numpy int, not a bool), ``_is_real`` (a real number, not a
+bool) and ``_field_names`` (a list of distinct field names, read once; a
+lone str is refused, not read as one name a character).
 """
 
 from __future__ import annotations
@@ -21,12 +28,13 @@ import numbers
 import os
 import re
 import tokenize
+from collections.abc import Iterable, Sized
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, _open, _replacing
+from .errors import DataError, _open, _replacing, _replacing_together
 
 OOV_INDEX = 0
 # lone surrogates, such as "\udc80": a str that holds one cannot be
@@ -57,12 +65,32 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _require_field_name(name) -> None:
+def _is_real(value) -> bool:
+    """A real number, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _require_field_name(name, where: str = "") -> None:
     """Refuse a field name that is not a str, or that UTF-8 cannot encode."""
     if not isinstance(name, str):
-        raise DataError(f"field name {name!r} is not a str")
+        raise DataError(f"{where}field name {name!r} is not a str")
     if _SURROGATE.search(name):
-        raise DataError(f"field name {name!r} cannot be encoded as UTF-8")
+        raise DataError(f"{where}field name {name!r} cannot be encoded as UTF-8")
+
+
+def _field_names(names, where: str = "") -> list[str]:
+    """``names``, read once, as a list of distinct field names; a str or
+    bytes, one name a character, is refused.  ``where`` starts each message."""
+    if isinstance(names, (str, bytes)) or not isinstance(names, Iterable):
+        raise DataError(f"{where}field names must be a list of str, got {names!r}")
+    names = list(names)
+    seen = set()
+    for name in names:
+        _require_field_name(name, where)
+        if name in seen:
+            raise DataError(f"{where}duplicate field name {name!r}")
+        seen.add(name)
+    return names
 
 
 @dataclass
@@ -92,7 +120,7 @@ class Vocabulary:
     """
 
     def __init__(self, schemas: list[FieldSchema], maps: list[dict[str, int]]):
-        _require_unique([s.field_name for s in schemas])
+        _field_names([s.field_name for s in schemas])
         if len(schemas) != len(maps):
             raise DataError(f"{len(schemas)} field schemas but {len(maps)} vocabulary maps")
         for position, (schema, mapping) in enumerate(zip(schemas, maps)):
@@ -100,6 +128,10 @@ class Vocabulary:
                 raise DataError(
                     f"field '{schema.field_name}' has field_index {schema.field_index}, "
                     f"but is at position {position}"
+                )
+            if not isinstance(mapping, dict):
+                raise DataError(
+                    f"field '{schema.field_name}': vocabulary map {mapping!r} is not a dict"
                 )
             n = len(mapping)
             if not np.array_equal(np.fromiter(mapping.values(), np.int64, n), np.arange(1, n + 1)):
@@ -132,7 +164,10 @@ class Vocabulary:
     def encode_row(self, row: list[str]) -> np.ndarray:
         """Each value's index in its field, OOV_INDEX if unseen.  A value
         that cannot be a key, such as a list, raises DataError naming its
-        field."""
+        field.  A str, or a row with no length, raises DataError."""
+        # hasattr, not isinstance(row, Sized): this runs once per served row
+        if isinstance(row, (str, bytes)) or not hasattr(row, "__len__"):
+            raise DataError(f"row must be a list of values, got {row!r}")
         if len(row) != self.num_fields:
             raise DataError(f"row has {len(row)} fields, schema expects {self.num_fields}")
         try:
@@ -182,8 +217,7 @@ class Vocabulary:
     def load(cls, path, field_names: list[str]) -> "Vocabulary":
         """Read a file ``save`` wrote; its fields must be ``field_names``.  A
         path that cannot be opened raises DataError naming it."""
-        field_names = list(field_names)
-        _require_unique(field_names, f"{path}: ")
+        field_names = _field_names(field_names, f"{path}: ")
         names, maps = _read_vocabulary(path)
         if names != field_names:
             raise DataError(f"{path}: holds the fields {names}, expected {field_names}")
@@ -255,14 +289,6 @@ def _read_vocabulary(path) -> tuple[list[str], list[dict[str, int]]]:
     return names, maps
 
 
-def _require_unique(field_names: list[str], where: str = "") -> None:
-    seen = set()
-    for name in field_names:
-        if name in seen:
-            raise DataError(f"{where}duplicate field name {name!r}")
-        seen.add(name)
-
-
 _ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 _ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
@@ -326,7 +352,7 @@ def binarize_label(scores, threshold: float) -> np.ndarray:
 
 
 def _require_finite_threshold(threshold) -> None:
-    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+    if not _is_real(threshold):
         raise DataError(f"label threshold must be a real number, got {threshold!r}")
     # no score is > NaN or > +inf, and every finite one is > -inf, so each
     # would give every row the same label
@@ -343,7 +369,8 @@ def split_dataset(
     takes the rest; ratios that leave a part empty are refused.  The seed
     must be an int >= 0: None would draw a fresh split on every call."""
     # r > 0, not r <= 0, so that a NaN ratio fails
-    if len(ratios) != 3 or not all(r > 0 for r in ratios):
+    if (not isinstance(ratios, Sized) or len(ratios) != 3
+            or not all(_is_real(r) and r > 0 for r in ratios)):
         raise DataError(f"split ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"split ratios must sum to 1, got {ratios}")
@@ -424,7 +451,8 @@ def encode_table(
     """Vocabulary build plus full encode of one raw table.  A field's values
     take the indices 1, 2, 3, ... in the order they first appear."""
     _require_finite_threshold(threshold)
-    _require_unique(header, "header: ")
+    header = _field_names(header, "header: ")
+    field_columns = _field_names(field_columns, "field columns: ")
     if not field_columns:
         raise DataError("no field columns")
     missing = [c for c in [label_column, *field_columns] if c not in header]
@@ -525,14 +553,19 @@ SPLIT_FILES = ("train.npy", "valid.npy", "test.npy")
 
 
 def write_prepared(out_dir, vocab: Vocabulary, split: DatasetSplit) -> None:
+    """``vocab.tsv`` and the three split files in ``out_dir``, made if
+    missing.  All four are written beside their paths before any replaces
+    an earlier file, so a failure while writing leaves an earlier directory
+    as it was."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot make prepared directory {out}: {exc.strerror or exc}") from None
-    vocab.save(out / "vocab.tsv")
-    for name, part in zip(SPLIT_FILES, (split.train, split.valid, split.test)):
-        write_split_file(out / name, part)
+    with _replacing_together():
+        vocab.save(out / "vocab.tsv")
+        for name, part in zip(SPLIT_FILES, (split.train, split.valid, split.test)):
+            write_split_file(out / name, part)
 
 
 def load_prepared(data_dir) -> tuple[Vocabulary, DatasetSplit]:

@@ -11,7 +11,6 @@ pairwise inner-product sum; LR keeps only the linear part.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import engine as eg
 from . import sk_attention as sk
 from .crosses import ChannelLayout, build_branch_2, build_branch_3
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError
-from .ingest import FieldSchema, _require_unique
+from .ingest import FieldSchema, _field_names, _is_int, _is_real
 
 VARIANTS = ("fiinet", "fiinet-sh", "fiinet-s", "fiinet-h", "lr", "fm")
 # Deep variants: the cross orders they build, and whether SK attention
@@ -71,7 +70,7 @@ class ModelConfig:
             _require_int("hidden_sizes", size)
         if self.variant in DEEP_VARIANTS and not self.hidden_sizes:
             raise ConfigError(f"hidden_sizes: {self.variant} needs at least one hidden layer")
-        if isinstance(self.dropout, bool) or not isinstance(self.dropout, numbers.Real):
+        if not _is_real(self.dropout):
             raise ConfigError(f"dropout must be a real number, got {self.dropout!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
@@ -86,7 +85,7 @@ class ModelConfig:
 
 
 def _require_int(name: str, value, minimum: int = 1) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+    if not _is_int(value) or value < minimum:
         kind = "a positive int" if minimum == 1 else f"an int >= {minimum}"
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
@@ -121,8 +120,7 @@ class CtrModel:
     """A predictor variant bound to a field schema and a parameter store."""
 
     def __init__(self, schemas: list[FieldSchema], config: ModelConfig):
-        names = [s.field_name for s in schemas]
-        _require_unique(names)
+        names = _field_names([s.field_name for s in schemas])
         if "bias" in names:
             raise DataError("field name 'bias' is taken by the global bias 'linear/bias'")
         if not schemas:

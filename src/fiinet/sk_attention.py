@@ -29,7 +29,7 @@ import numpy as np
 from . import engine as eg
 from .crosses import ChannelLayout
 from .errors import DataError, ShapeError, _replacing
-from .ingest import _ESCAPES, _require_field_name
+from .ingest import _ESCAPES, _field_names
 
 REDUCTION_RATIO = 3
 DEFAULT_MIN_REDUCED_DIM = 8
@@ -117,17 +117,16 @@ def write_attention_report(
     Field names are written with ``Vocabulary.save``'s escapes, so a tab,
     newline or backslash in a name cannot break a row.  The names of a
     cross are joined by commas, so a name holding a comma stays ambiguous.
-    A name that is not a str UTF-8 can encode is refused before the file
-    is opened, and a failure while writing leaves an earlier report at
-    ``path`` as it was.
+    A name that is not a str UTF-8 can encode, or that repeats, is refused
+    before the file is opened, and a failure while writing leaves an
+    earlier report at ``path`` as it was.
     """
     shape = (layout.num_channels,)
     if np.shape(weights_before) != shape or np.shape(weights_after) != shape:
         raise ShapeError(f"weight vectors must have shape {shape}, one entry per channel")
+    field_names = _field_names(field_names)
     if len(field_names) != layout.num_fields:
         raise ShapeError(f"{len(field_names)} field names for {layout.num_fields} fields")
-    for name in field_names:
-        _require_field_name(name)
     with _replacing(path, "attention report", "x", encoding="utf-8") as f:
         f.write("channel\torder\tfields\tweight_before\tweight_after\n")
         for c in range(layout.num_channels):

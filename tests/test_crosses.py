@@ -167,6 +167,11 @@ class TestBranchTensors:
         triple_only = ChannelLayout.build(4, orders=(3,))
         assert build_branch_3(E, triple_only).data.shape == (2, 4, 3)
 
+    def test_pair_branch_of_a_layout_with_only_triples_errors(self):
+        E = eg.Tensor(np.zeros((2, 4, 3)))
+        with pytest.raises(ShapeError, match="^layout carries no pair channels$"):
+            build_branch_2(E, ChannelLayout.build(4, orders=(3,)))
+
 
 class TestLayoutOrders:
     @pytest.mark.parametrize("orders", [(), (4,), (2, 4), (1, 2)])
@@ -178,3 +183,13 @@ class TestLayoutOrders:
     def test_field_minimum_is_that_of_the_highest_order(self, orders):
         with pytest.raises(ShapeError, match="^order-3 crosses need at least 3 fields, got 2$"):
             ChannelLayout.build(2, orders)
+
+    @pytest.mark.parametrize("num_fields", ["4", 4.0, None, True])
+    def test_refuses_a_field_count_that_is_not_an_int(self, num_fields):
+        # "4" and 4.0 raised TypeError, True was read as 1
+        message = f"^the field count must be an int, got {num_fields!r}$"
+        with pytest.raises(ShapeError, match=message):
+            ChannelLayout.build(num_fields)
+
+    def test_accepts_a_numpy_int_field_count(self):
+        assert ChannelLayout.build(np.int64(4)) == ChannelLayout.build(4)

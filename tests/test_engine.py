@@ -260,6 +260,24 @@ class TestOpSemantics:
         with pytest.raises(ShapeError):
             eg.scale_channels([eg.Tensor(np.zeros((2, 3, 4)))], eg.Tensor(np.zeros((2, 4))))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: eg.add_rowvec(eg.Tensor(np.zeros((2, 3))), eg.Tensor(np.zeros(4))),
+         r"^add_rowvec: incompatible shapes \(2, 3\) and \(4,\)$"),
+        (lambda: eg.add_rowvec(eg.Tensor(np.zeros(3)), eg.Tensor(np.zeros(3))),
+         r"^add_rowvec: incompatible shapes \(3,\) and \(3,\)$"),
+        (lambda: eg.sum_fields(eg.Tensor(np.zeros((2, 3)))),
+         r"^sum_fields expects \(B,f,k\) with f >= 1, got \(2, 3\)$"),
+        (lambda: eg.sum_fields(eg.Tensor(np.zeros((2, 0, 3)))),
+         r"^sum_fields expects \(B,f,k\) with f >= 1, got \(2, 0, 3\)$"),
+        (lambda: eg.reshape(eg.Tensor(np.zeros((2, 3))), (4, 2)),
+         r"^reshape: cannot view \(2, 3\) as \(4, 2\)$"),
+        (lambda: eg.mean_all(eg.Tensor(np.zeros((0, 3)))), "^mean_all of an empty tensor$"),
+    ], ids=["add_rowvec-width", "add_rowvec-rank", "sum_fields-rank", "sum_fields-no-field",
+            "reshape", "mean_all"])
+    def test_shape_errors_name_the_op_and_the_shapes(self, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call()
+
     @pytest.mark.parametrize("op", ["mean_lastdim", "scale_channels", "branch_linear"])
     def test_branch_ops_refuse_mismatched_branches(self, op):
         def call(arrays):
@@ -293,7 +311,8 @@ class TestOpSemantics:
     ])
     def test_scale_channels_refuses_a_weight_that_does_not_fit(self, weight):
         branches = [eg.Tensor(np.zeros((2, 4, 3))), eg.Tensor(np.zeros((2, 5, 3)))]
-        with pytest.raises(ShapeError, match="^scale_channels: weight .* does not fit 2 branches of 9"):
+        message = "^scale_channels: channel weight .* does not fit 2 branches of 9"
+        with pytest.raises(ShapeError, match=message):
             eg.scale_channels(branches, eg.Tensor(weight))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -834,6 +853,11 @@ class TestXavierInit:
         with pytest.raises(ShapeError):
             eg.xavier_init((0, 4), seed=0)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_a_shape_that_is_not_2d_errors(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"xavier_init expects a 2-D shape, got {shape}")):
+            eg.xavier_init(shape, seed=0)
+
 
 class TestDropout:
     def test_identity_paths(self):
@@ -844,6 +868,10 @@ class TestDropout:
     def test_rate_one_rejected(self):
         with pytest.raises(ShapeError):
             eg.dropout(eg.Tensor(randn(2, 2)), 1.0, training=True, rng=np.random.default_rng(0))
+
+    def test_training_mode_needs_an_rng(self):
+        with pytest.raises(ShapeError, match="^dropout in training mode needs an rng$"):
+            eg.dropout(eg.Tensor(randn(2, 2)), 0.5, training=True)
 
     def test_mean_preserved(self):
         x = np.full((100, 1000), 3.0)
@@ -1122,6 +1150,18 @@ class TestCheckpoint:
         path, _ = self.saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match=f"trailing bytes in checkpoint {re.escape(str(path))}"):
+            eg.load_checkpoint(path)
+
+    @pytest.mark.parametrize("version,code,message", [
+        (2, 1, "unsupported checkpoint version 2"),
+        (1, 3, "unknown checkpoint dtype code 3"),
+    ], ids=["version", "dtype-code"])
+    def test_unknown_header_values_name_the_path(self, tmp_path, version, code, message):
+        path, _ = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[8:16] = struct.pack("<II", version, code)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"^{message} in {re.escape(str(path))}$"):
             eg.load_checkpoint(path)
 
     @pytest.mark.parametrize("load", [

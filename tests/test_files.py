@@ -1,12 +1,14 @@
-"""Every writer's failures: a missing directory, a path that is a directory,
-and a disk that fills part-way through the write.
+"""Every writer's failures: a missing directory, a path that is a directory
+or under a file, and a disk that fills part-way through the write.
 
 Each raises CheckpointError (a checkpoint) or DataError (the rest) naming
-the path; an earlier file at the path stays byte-equal, and no temporary
-file is left beside it.
+the path, and no other file; an earlier file at the path stays byte-equal,
+and no temporary file is left beside it.  A prepared directory's four
+files are replaced only once all four are written.
 """
 
 import errno
+import itertools
 import os
 import re
 
@@ -80,13 +82,17 @@ class FullDisk:
         self.f.close()
 
 
-def full_disk(monkeypatch, room):
-    """Make every file the package opens a FullDisk of ``room``; the list
-    it returns collects them."""
+def full_disk(monkeypatch, room, at=None):
+    """Make every file the package opens a FullDisk of ``room``, or only the
+    ``at``-th, counted from 0; the list it returns collects the FullDisks."""
     opened = []
+    count = itertools.count()
 
     def open_full(*args, **kwargs):
-        opened.append(FullDisk(open(*args, **kwargs), room))
+        f = open(*args, **kwargs)
+        if at is not None and next(count) != at:
+            return f
+        opened.append(FullDisk(f, room))
         return opened[-1]
 
     monkeypatch.setattr(errors, "open", open_full, raising=False)
@@ -111,16 +117,28 @@ class TestWriters:
     def test_a_path_in_a_missing_directory_is_named(self, tmp_path, what):
         write, error = WRITERS[what]
         path = tmp_path / "missing" / "out"
-        with pytest.raises(error, match=cannot_save(what, path) + r".*No such file or directory"):
+        # the reason names no file: the temporary one never exists for the user
+        reason = r"\[Errno 2\] No such file or directory$"
+        with pytest.raises(error, match=cannot_save(what, path) + reason):
             write(path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_path_under_a_file_is_named(self, tmp_path, what):
+        # removing the temporary file that was never made raised NotADirectoryError
+        write, error = WRITERS[what]
+        (tmp_path / "file").write_bytes(EARLIER)
+        path = tmp_path / "file" / "out"
+        with pytest.raises(error, match=cannot_save(what, path) + r"\[Errno 20\] Not a directory$"):
+            write(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_bytes() == EARLIER
 
     def test_a_path_that_is_a_directory_is_named_and_kept(self, tmp_path, what):
         write, error = WRITERS[what]
         path = tmp_path / "out"
         path.mkdir()
         (path / "inside").write_bytes(EARLIER)
-        with pytest.raises(error, match=cannot_save(what, path) + r".*Is a directory"):
+        with pytest.raises(error, match=cannot_save(what, path) + r"\[Errno 21\] Is a directory$"):
             write(path)
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert [p.name for p in path.iterdir()] == ["inside"]
@@ -166,7 +184,8 @@ class TestWritePrepared:
     def test_a_file_that_is_a_directory_is_named(self, tmp_path):
         (tmp_path / "vocab.tsv").mkdir()
         path = tmp_path / "vocab.tsv"
-        with pytest.raises(DataError, match=cannot_save("vocabulary", path) + r".*Is a directory"):
+        reason = r"\[Errno 21\] Is a directory$"
+        with pytest.raises(DataError, match=cannot_save("vocabulary", path) + reason):
             write_prepared(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["vocab.tsv"]
         assert list(path.iterdir()) == []
@@ -180,3 +199,30 @@ class TestWritePrepared:
             write_prepared(tmp_path)
         assert [f.room for f in opened] == [0]  # the first file failed part-way
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == dict.fromkeys(PREPARED, EARLIER)
+
+    @pytest.mark.parametrize("at", range(len(PREPARED)), ids=PREPARED)
+    def test_a_failure_at_any_file_keeps_the_earlier_directory(self, tmp_path, monkeypatch, at):
+        # the files were replaced one at a time, so a failure at test.npy
+        # left the new vocabulary and train and valid splits beside the
+        # earlier test split, and load_prepared read the mix
+        write_prepared(tmp_path)
+        earlier = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        _, earlier_split = ingest.load_prepared(tmp_path)
+        newer = ingest.Vocabulary(
+            [ingest.FieldSchema("f0", 0, 7), ingest.FieldSchema("f1", 1, 3)],
+            [{v: i for i, v in enumerate("abcdef", 1)}, {"x": 1, "y": 2}],
+        )
+        rows = np.arange(20)
+        more = ingest.EncodedDataset(np.stack([rows % 7, rows % 3], axis=1), rows % 2)
+        opened = full_disk(monkeypatch, room=10, at=at)
+        what = "vocabulary" if at == 0 else "split file"
+        newer_split = ingest.split_dataset(more, (0.6, 0.25, 0.15), seed=0)
+        with pytest.raises(DataError, match=cannot_save(what, tmp_path / PREPARED[at]) + r"\[Errno 28\]"):
+            ingest.write_prepared(tmp_path, newer, newer_split)
+        assert [f.room for f in opened] == [0]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
+        _, split = ingest.load_prepared(tmp_path)
+        for part, before in zip((split.train, split.valid, split.test),
+                                (earlier_split.train, earlier_split.valid, earlier_split.test)):
+            assert np.array_equal(part.indices, before.indices)
+            assert np.array_equal(part.labels, before.labels)

@@ -841,3 +841,79 @@ def test_a_path_that_cannot_be_opened_is_a_data_error_naming_it(tmp_path, what, 
     make(path)
     with pytest.raises(DataError, match=f"^cannot open {what} {re.escape(str(path))}: {reason}$"):
         READERS[what](path)
+
+
+class TestRefusedInputs:
+    """Inputs of the wrong type, each refused with a DataError naming it
+    rather than read some other way or failing outside the package's
+    errors."""
+
+    HEADER, ROWS = TestEncodeTable.HEADER, TestEncodeTable.ROWS
+
+    @pytest.mark.parametrize("columns", ["user", "ui", b"user"])
+    def test_encode_table_refuses_field_columns_given_as_one_string(self, columns):
+        # "user" was read as ["user"] by luck, "ui" as the columns u and i
+        message = f"^field columns: field names must be a list of str, got {re.escape(repr(columns))}$"
+        with pytest.raises(DataError, match=message):
+            ingest.encode_table(self.ROWS, self.HEADER, "rating", columns, 6)
+
+    @pytest.mark.parametrize("name", [3, None, "\udc80"])
+    def test_encode_table_refuses_a_header_entry_that_is_not_a_field_name(self, name):
+        rows = [[*row, "x"] for row in self.ROWS]
+        with pytest.raises(DataError, match=rf"^header: field name {re.escape(repr(name))} "):
+            ingest.encode_table(rows, [*self.HEADER, name], "rating", ["user"], 6)
+
+    @pytest.mark.parametrize("names", ["fg", b"fg", None, 5])
+    def test_load_refuses_field_names_that_are_not_a_list(self, tmp_path, names):
+        # "fg" was compared with the file's fields as ['f', 'g']
+        path = tmp_path / "vocab.tsv"
+        vocabulary_of([["a", "b"]], ["f", "g"]).save(path)
+        message = f"vocab.tsv: field names must be a list of str, got {re.escape(repr(names))}$"
+        with pytest.raises(DataError, match=message):
+            ingest.Vocabulary.load(path, names)
+
+    def test_encode_row_refuses_a_str(self):
+        # "xy" was encoded as the row ["x", "y"]
+        vocab = vocabulary_of([["x", "y"]], ["f", "g"])
+        with pytest.raises(DataError, match="^row must be a list of values, got 'xy'$"):
+            vocab.encode_row("xy")
+
+    @pytest.mark.parametrize("row", [None, 5, iter(["x", "y"])], ids=["none", "int", "iterator"])
+    def test_encode_row_refuses_a_row_with_no_length(self, row):
+        vocab = vocabulary_of([["x", "y"]], ["f", "g"])
+        with pytest.raises(DataError, match="^row must be a list of values, got "):
+            vocab.encode_row(row)
+
+    def test_encode_row_refuses_a_row_of_the_wrong_length(self):
+        vocab = vocabulary_of([["x", "y"]], ["f", "g"])
+        with pytest.raises(DataError, match="^row has 1 fields, schema expects 2$"):
+            vocab.encode_row(["x"])
+
+    @pytest.mark.parametrize("ratios", [
+        ("a", "b", "c"), 5, None, (0.6, "0.2", 0.2), (0.6, True, 0.2),
+    ])
+    def test_split_refuses_ratios_that_are_not_three_real_numbers(self, ratios):
+        ds = TestSplitDataset.dataset(10)
+        message = f"^split ratios must be three positive numbers, got {re.escape(str(ratios))}$"
+        with pytest.raises(DataError, match=message):
+            ingest.split_dataset(ds, ratios, 0)
+
+    def test_split_accepts_numpy_ratios(self):
+        ds = TestSplitDataset.dataset(10)
+        ratios = np.array([0.6, 0.2, 0.2])
+        split = ingest.split_dataset(ds, ratios, 0)
+        expected = ingest.split_dataset(ds, (0.6, 0.2, 0.2), 0)
+        assert np.array_equal(split.test.indices, expected.test.indices)
+
+    @pytest.mark.parametrize("mapping", [["x"], ("x",), None])
+    def test_vocabulary_refuses_a_map_that_is_not_a_dict(self, mapping):
+        message = f"^field 'f': vocabulary map {re.escape(repr(mapping))} is not a dict$"
+        with pytest.raises(DataError, match=message):
+            ingest.Vocabulary([ingest.FieldSchema("f", 0, 2)], [mapping])
+
+
+def test_read_table_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(b"")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: empty file$"):
+        ingest.read_table(path)

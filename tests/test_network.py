@@ -7,6 +7,7 @@ label checks before the forward pass, dnn/w0 held column-major with the
 bits of the row-major formula, index dtype checks, and ModelConfig
 validation."""
 
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -626,3 +627,31 @@ def test_config_accepts_defaults_and_edges():
     ModelConfig()
     ModelConfig(dropout=0.0, precision="float64", variant="lr", hidden_sizes=())
     ModelConfig(variant="fm", embedding_dim=1, hidden_sizes=())
+
+
+@pytest.mark.parametrize("indices", [np.zeros((2, 3), np.int64), np.zeros((2, 1, 4), np.int64)],
+                         ids=["too-few-fields", "3-d"])
+def test_indices_of_the_wrong_shape_raise_shape_error(indices):
+    message = rf"^expected indices of shape \(B,4\), got {re.escape(str(indices.shape))}$"
+    with pytest.raises(ShapeError, match=message):
+        small_model("lr").predict_proba(indices)
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "fiinet"])
+def test_attention_weights_of_a_variant_without_attention_raise(variant):
+    model = small_model(variant)
+    emb = eg.Tensor(np.zeros((2, NUM_FIELDS, 3)))
+    with pytest.raises(ShapeError, match=f"^variant '{variant}' has no attention weights$"):
+        model.attention_weights(emb)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_proba_of_no_rows_is_an_empty_float64_array(variant):
+    model = small_model(variant, precision="float32")
+    probs = model.predict_proba(np.zeros((0, NUM_FIELDS), np.int64))
+    assert probs.shape == (0,) and probs.dtype == np.float64
+
+
+def test_batch_attention_of_no_rows_raises():
+    with pytest.raises(DataError, match="^empty sample for attention export$"):
+        small_model("fiinet").batch_attention(np.zeros((0, NUM_FIELDS), np.int64))

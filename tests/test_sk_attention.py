@@ -294,6 +294,16 @@ class TestWeightExport:
         with pytest.raises(DataError):
             sk.channel_weight_means(np.zeros((0, 4)), np.zeros((0, 4)), layout)
 
+    @pytest.mark.parametrize("a,b", [
+        (np.zeros((2, 3)), np.zeros((2, 3))),  # one channel short of the layout
+        (np.zeros((2, 4)), np.zeros((3, 4))),  # a and b differ
+        (np.zeros(4), np.zeros(4)),  # no sample axis
+    ])
+    def test_channel_weight_means_refuses_arrays_off_the_layout(self, a, b):
+        layout = ChannelLayout.build(3)
+        with pytest.raises(ShapeError, match=r"^weight arrays must be \(N,C\) on the model layout$"):
+            sk.channel_weight_means(a, b, layout)
+
     def test_report_has_one_row_per_channel(self, tmp_path):
         layout = ChannelLayout.build(4)
         C = layout.num_channels
@@ -352,5 +362,23 @@ class TestWeightExport:
         layout = ChannelLayout.build(3)
         path = tmp_path / "attention.tsv"
         with pytest.raises(ShapeError, match=f"^{len(names)} field names for 3 fields$"):
+            sk.write_attention_report(path, layout, names, np.full(4, 0.5), np.full(4, 0.5))
+        assert not path.exists()
+
+    def test_report_reads_names_from_a_generator_once(self, tmp_path):
+        # a generator raised TypeError: it has no len()
+        layout = ChannelLayout.build(3)
+        weights = np.full(4, 0.5), np.full(4, 0.25)
+        sk.write_attention_report(tmp_path / "list.tsv", layout, ["f0", "f1", "f2"], *weights)
+        names = (f"f{i}" for i in range(3))
+        sk.write_attention_report(tmp_path / "generator.tsv", layout, names, *weights)
+        assert (tmp_path / "generator.tsv").read_bytes() == (tmp_path / "list.tsv").read_bytes()
+
+    @pytest.mark.parametrize("names", [["f0", "f1", "f0"], "f0f1f2", b"f0f"])
+    def test_report_refuses_names_that_are_not_distinct_field_names(self, tmp_path, names):
+        # a repeated name made two fields' crosses read alike
+        layout = ChannelLayout.build(3)
+        path = tmp_path / "attention.tsv"
+        with pytest.raises(DataError, match="^duplicate field name 'f0'$|^field names must be a list"):
             sk.write_attention_report(path, layout, names, np.full(4, 0.5), np.full(4, 0.5))
         assert not path.exists()
